@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Commands: ``factor``, ``analyze``, ``enumerate``, ``search``,
-``paper-suite``.  Every command accepts ``--format {text,json,csv}``,
-``--max-size`` (word-count budget for enumeration) and ``--workers``.
+``paper-suite``.  Every command accepts ``--format {text,json,csv}``;
+``analyze``, ``enumerate`` and ``search`` also take ``--max-size``
+(word-count budget for enumeration), and ``search`` takes ``--workers``.
 Exit codes: 0 success, 1 a check or fixture failed, 2 invalid input,
 3 a resource guard tripped.
 
@@ -19,12 +20,11 @@ import json
 import os
 import sys
 
-from .code import DEFAULT_MAX_WORDS, AdditiveCode, Word, gray_array
+from .code import DEFAULT_MAX_WORDS, Word, gray_array
 from .cyclic import (
     CyclicSpec,
     cardinality,
     cyclic_spec,
-    enumerate_cyclic_specs,
     kernel_dim_candidates,
     kernel_spec,
     materialize,
@@ -37,7 +37,9 @@ from .cyclic import (
 from .errors import SizeGuardError, SpecError
 from .gf2 import BinPoly, factor_xn1_gf2, xn_minus_1
 from .verify import (
+    CSV_HEADER,
     cross_check,
+    csv_row,
     paper_suite,
     suite_json,
     suite_text,
@@ -45,6 +47,7 @@ from .verify import (
     sweep_rows_csv,
     sweep_rows_json,
     sweep_text,
+    tabulate,
 )
 from .z4 import QuatPoly, factor_xn1_z4, xn_minus_1_z4
 
@@ -76,18 +79,17 @@ def _default_workers() -> int:
         return 1
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default text)",
     )
+
+
+def _max_size_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-size", type=_positive_int, default=DEFAULT_MAX_WORDS,
         metavar="N", help="refuse to enumerate more than N words (exit 3)",
-    )
-    p.add_argument(
-        "--workers", type=_positive_int, default=_default_workers(),
-        metavar="K", help="worker processes for search (default $Z2Z4_WORKERS or 1)",
     )
 
 
@@ -215,22 +217,6 @@ def _analysis_text(a: dict) -> str:
     return "\n".join(lines)
 
 
-_CSV_HEADER = ("alpha,beta,b,ell,f,h,g,gamma,delta,kappa,"
-               "kernel_dim,rank,k_prime,r,verdict")
-
-
-def _csv_row(spec: CyclicSpec, kernel_dim, rank, k_prime, r, verdict: str) -> str:
-    t = type_from_degrees(spec)
-    cells = (
-        spec.alpha, spec.beta,
-        _nospace(spec.b), _nospace(spec.ell),
-        _nospace(spec.f), _nospace(spec.h), _nospace(spec.g),
-        t.gamma, t.delta, t.kappa,
-        kernel_dim, rank, _nospace(k_prime), _nospace(r), verdict,
-    )
-    return ",".join(str(c) for c in cells)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     a = _analysis(spec)
@@ -251,8 +237,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         verdict = "unchecked"
         if args.verify:
             verdict = "pass" if a["verify"]["passed"] else "fail"
-        print(_CSV_HEADER)
-        print(_csv_row(
+        print(CSV_HEADER)
+        print(csv_row(
             spec, a["kernel"]["dim"], a["rank"]["rank"],
             a["kernel"]["k_prime"], a["rank"]["r"], verdict,
         ))
@@ -331,82 +317,25 @@ def _parse_type_filter(text: str, alpha: int, beta: int) -> tuple[int, ...]:
     return parts
 
 
-def _dedupe(specs: list[CyclicSpec], max_words: int) -> list[CyclicSpec]:
-    seen = set()
-    keep = []
-    for spec in specs:
-        key = materialize(spec, max_words=max_words).howell()
-        if key not in seen:
-            seen.add(key)
-            keep.append(spec)
-    return keep
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     type_filter = None
     if args.type is not None:
         type_filter = _parse_type_filter(args.type, args.alpha, args.beta)
-
-    if args.verify and not args.dedupe:
+    if args.verify:
         summary = sweep(
             alpha_max=args.alpha, alpha_min=args.alpha, betas=(args.beta,),
             max_words=args.max_size, workers=args.workers,
             type_filter=type_filter,
         )
-        if args.format == "json":
-            print(json.dumps(sweep_rows_json(summary)))
-        elif args.format == "csv":
-            print(sweep_rows_csv(summary), end="")
-        else:
-            print(sweep_text(summary), end="")
-        return EXIT_OK if summary.passed else EXIT_CHECK_FAILED
-
-    specs = list(enumerate_cyclic_specs(args.alpha, args.beta,
-                                        type_filter=type_filter))
-    if args.dedupe:
-        specs = _dedupe(specs, args.max_size)
-
-    failures = 0
-    rows = []
-    for spec in specs:
-        kres = kernel_spec(spec)
-        rres = rank_spec(spec)
-        verdict = "unchecked"
-        if args.verify:
-            rep = cross_check(spec, max_words=args.max_size)
-            verdict = "pass" if rep.passed else "fail"
-            failures += 0 if rep.passed else 1
-        rows.append((spec, kres, rres, verdict))
-
-    if args.format == "json":
-        out = []
-        for spec, kres, rres, verdict in rows:
-            t = type_from_degrees(spec)
-            d = {
-                "alpha": spec.alpha, "beta": spec.beta,
-                "b": str(spec.b), "ell": str(spec.ell),
-                "f": str(spec.f), "h": str(spec.h), "g": str(spec.g),
-                "type": [t.alpha, t.beta, t.gamma, t.delta, t.kappa],
-                "kernel_dim": kres.dimension, "rank": rres.rank,
-                "k_prime": str(kres.k_prime), "r": str(rres.r),
-            }
-            if args.verify:
-                d["verdict"] = verdict
-            out.append(d)
-        print(json.dumps(out))
-    elif args.format == "csv":
-        print(_CSV_HEADER)
-        for spec, kres, rres, verdict in rows:
-            print(_csv_row(spec, kres.dimension, rres.rank,
-                           kres.k_prime, rres.r, verdict))
     else:
-        for spec, kres, rres, verdict in rows:
-            t = type_from_degrees(spec)
-            tail = f"  {verdict}" if args.verify else ""
-            print(f"{spec}  type {t}  ker={kres.dimension} rank={rres.rank} "
-                  f"k'=({kres.k_prime}) r=({rres.r}){tail}")
-        print(f"{len(rows)} specs")
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+        summary = tabulate(args.alpha, args.beta, type_filter=type_filter)
+    if args.format == "json":
+        print(json.dumps(sweep_rows_json(summary)))
+    elif args.format == "csv":
+        print(sweep_rows_csv(summary), end="")
+    else:
+        print(sweep_text(summary), end="")
+    return EXIT_OK if summary.passed else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="length (odd positive)")
     p.add_argument("--ring", choices=("gf2", "z4"), required=True,
                    help="coefficient ring")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("analyze", help="type, kernel and rank of one code")
     _spec_flags(p)
     p.add_argument("--verify", action="store_true",
                    help="also run every enumeration cross-check")
-    _common_flags(p)
+    _format_flag(p)
+    _max_size_flag(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("enumerate",
                        help="list all codewords with their Gray images")
     _spec_flags(p)
-    _common_flags(p)
+    _format_flag(p)
+    _max_size_flag(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("search", help="tabulate every code at one length pair")
@@ -473,15 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "an alpha,beta: prefix is accepted")
     p.add_argument("--verify", action="store_true",
                    help="cross-check every row against enumeration")
-    p.add_argument("--dedupe", action="store_true",
-                   help="one row per distinct code rather than per generator pair")
-    _common_flags(p)
+    _format_flag(p)
+    _max_size_flag(p)
+    p.add_argument(
+        "--workers", type=_positive_int, default=_default_workers(),
+        metavar="K", help="worker processes (default $Z2Z4_WORKERS or 1)",
+    )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("paper-suite", help="run the pinned regression fixtures")
     p.add_argument("--strict-erratum", action="store_true",
                    help="fail if any fixture is flagged, not just failed")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=cmd_paper_suite)
 
     return parser

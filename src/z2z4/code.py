@@ -54,18 +54,7 @@ class Word:
     def from_vectors(cls, xs, ys) -> "Word":
         xs = tuple(xs)
         ys = tuple(ys)
-        u = 0
-        for i, x in enumerate(xs):
-            if x % 2:
-                u |= 1 << i
-        lo = hi = 0
-        for i, y in enumerate(ys):
-            y %= 4
-            if y & 1:
-                lo |= 1 << i
-            if y & 2:
-                hi |= 1 << i
-        return cls(len(xs), len(ys), u, lo, hi)
+        return _coords_to_word(len(xs), len(ys), xs + ys)
 
     @classmethod
     def from_packed(cls, packed: int, alpha: int, beta: int) -> "Word":
@@ -1163,30 +1152,35 @@ def _validate_standard_form(sf: StandardFormMatrix, code: AdditiveCode) -> None:
     def yval(r, j):
         return r[nx + j]
 
+    def need(ok: bool, block: str) -> None:
+        if not ok:
+            raise AssertionError(f"standard form: malformed {block} block")
+
     for i, r in enumerate(rows[:k1]):
         for j in range(k1):
-            assert xval(r, j) == (1 if i == j else 0)
-        assert all(yval(r, j) == 0 for j in range(beta))
+            need(xval(r, j) == (1 if i == j else 0), "kappa1")
+        need(all(yval(r, j) == 0 for j in range(beta)), "kappa1")
     for i, r in enumerate(rows[k1 : k1 + k2]):
-        assert all(xval(r, j) == 0 for j in range(k1))
+        need(all(xval(r, j) == 0 for j in range(k1)), "kappa2")
         for j in range(k2):
-            assert xval(r, k1 + j) == (1 if i == j else 0)
-        assert all(yval(r, j) in (0, 2) for j in range(plain))
-        assert all(yval(r, j) == 0 for j in range(plain, beta))
+            need(xval(r, k1 + j) == (1 if i == j else 0), "kappa2")
+        need(all(yval(r, j) in (0, 2) for j in range(plain)), "kappa2")
+        need(all(yval(r, j) == 0 for j in range(plain, beta)), "kappa2")
     for i, r in enumerate(rows[k1 + k2 : k1 + k2 + ge]):
-        assert all(xval(r, j) == 0 for j in range(alpha))
-        assert all(yval(r, j) in (0, 2) for j in range(plain))
+        need(all(xval(r, j) == 0 for j in range(alpha)), "even")
+        need(all(yval(r, j) in (0, 2) for j in range(plain)), "even")
         for j in range(ge):
-            assert yval(r, plain + j) == (2 if i == j else 0)
-        assert all(yval(r, j) == 0 for j in range(plain + ge, beta))
+            need(yval(r, plain + j) == (2 if i == j else 0), "even")
+        need(all(yval(r, j) == 0 for j in range(plain + ge, beta)), "even")
     for i, r in enumerate(rows[k1 + k2 + ge :]):
-        assert all(xval(r, j) == 0 for j in range(k1 + k2))
-        assert all(yval(r, plain + j) in (0, 1) for j in range(ge))
+        need(all(xval(r, j) == 0 for j in range(k1 + k2)), "quaternary")
+        need(all(yval(r, plain + j) in (0, 1) for j in range(ge)), "quaternary")
         for j in range(d):
-            assert yval(r, plain + ge + j) == (1 if i == j else 0)
+            need(yval(r, plain + ge + j) == (1 if i == j else 0), "quaternary")
 
     regen = AdditiveCode(
         alpha, beta, [_coords_to_word(alpha, beta, r) for r in sf.rows()],
         max_words=code.max_words,
     )
-    assert regen == code, "standard form does not regenerate the code"
+    if regen != code:
+        raise AssertionError("standard form does not regenerate the code")

@@ -20,7 +20,7 @@ high-order binary code, computed exactly by ``pairwise_product_span``.
 from dataclasses import dataclass
 from itertools import product
 
-from .code import DEFAULT_MAX_WORDS, AdditiveCode, CodeType, Word
+from .code import DEFAULT_MAX_WORDS, AdditiveCode, CodeType, Word, _coords_to_word
 from .errors import SpecError
 from .gf2 import (
     BIN_ONE,
@@ -34,6 +34,8 @@ from .gf2 import (
     xn_minus_1,
 )
 from .z4 import (
+    Q_ONE,
+    Q_ZERO,
     QuatPoly,
     bezout_lift,
     hensel_lift,
@@ -148,45 +150,30 @@ def type_from_degrees(spec: CyclicSpec) -> CodeType:
     )
 
 
+def poly_word(alpha: int, beta: int, x: BinPoly, y: QuatPoly) -> Word:
+    """The word (x | y), with x read mod x^alpha - 1 and y mod x^beta - 1."""
+    xbits = (x % xn_minus_1(alpha)).bits if alpha else 0
+    ys = (y % xn_minus_1_z4(beta)).coeffs
+    return _coords_to_word(
+        alpha, beta,
+        [(xbits >> i) & 1 for i in range(alpha)] + [*ys, *(0,) * (beta - len(ys))],
+    )
+
+
+def shift_orbit(w: Word, n: int) -> list[Word]:
+    """w followed by its next n - 1 simultaneous cyclic shifts."""
+    out = [w]
+    for _ in range(n - 1):
+        out.append(out[-1].shift())
+    return out
+
+
 def materialize(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> AdditiveCode:
     """The code itself: shifts of (b | 0) and of (ell | f h + 2 f)."""
     a, be = spec.alpha, spec.beta
-    gens: list[Word] = []
-    bred = spec.b % xn_minus_1(a)
-    if not bred.is_zero:
-        w = Word(a, be, bred.bits, 0, 0)
-        for _ in range(a):
-            gens.append(w)
-            w = w.shift()
-    ygen = (spec.f * spec.h + spec.f * 2) % xn_minus_1_z4(be)
-    lo = hi = 0
-    for i, c in enumerate(ygen.coeffs):
-        if c & 1:
-            lo |= 1 << i
-        if c & 2:
-            hi |= 1 << i
-    w = Word(a, be, spec.ell.bits, lo, hi)
-    for _ in range(be):
-        gens.append(w)
-        w = w.shift()
+    gens = (shift_orbit(poly_word(a, be, spec.b, Q_ZERO), a)
+            + shift_orbit(poly_word(a, be, spec.ell, spec.f * spec.h + spec.f * 2), be))
     return AdditiveCode(a, be, gens, max_words=max_words)
-
-
-def generator_words(spec: CyclicSpec) -> tuple[Word, Word]:
-    """The two defining words, without their shifts."""
-    a, be = spec.alpha, spec.beta
-    bred = spec.b % xn_minus_1(a)
-    ygen = (spec.f * spec.h + spec.f * 2) % xn_minus_1_z4(be)
-    lo = hi = 0
-    for i, c in enumerate(ygen.coeffs):
-        if c & 1:
-            lo |= 1 << i
-        if c & 2:
-            hi |= 1 << i
-    return (
-        Word(a, be, bred.bits if not bred.is_zero else 0, 0, 0),
-        Word(a, be, spec.ell.bits, lo, hi),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +187,7 @@ def quaternary_linear(f: QuatPoly, g: QuatPoly, beta: int) -> bool:
 
 def gray_linear(spec: CyclicSpec) -> bool:
     """Closed-form linearity test for the full two-block code."""
-    ft = reduce_mod2(spec.f)
-    gt = reduce_mod2(spec.g)
-    shrunk = (ft * spec.b) // gcd2(spec.b, spec.ell * gt)
-    return gcd2(shrunk, tensor_square(gt, spec.beta)).is_one
+    return _divisor_qualifies(spec, Q_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +216,10 @@ def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
     gt = reduce_mod2(spec.g)
     a, be = spec.alpha, spec.beta
     ell_b = (mu_t * spec.ell * gt) % spec.b
-    ell_prime = (spec.ell + ell_b) % xn_minus_1(a)
-
-    def word_of(x: BinPoly, y: QuatPoly) -> Word:
-        y = y % xn_minus_1_z4(be)
-        lo = hi = 0
-        for i, c in enumerate(y.coeffs):
-            if c & 1:
-                lo |= 1 << i
-            if c & 2:
-                hi |= 1 << i
-        return Word(a, be, (x % xn_minus_1(a)).bits, lo, hi)
-
     return (
-        word_of(spec.b, QuatPoly(())),
-        word_of(ell_prime, spec.f * spec.h),
-        word_of(ell_b, spec.f * 2),
+        poly_word(a, be, spec.b, Q_ZERO),
+        poly_word(a, be, spec.ell + ell_b, spec.f * spec.h),
+        poly_word(a, be, ell_b, spec.f * 2),
     )
 
 

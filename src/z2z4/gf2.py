@@ -350,9 +350,11 @@ def build_field(n: int) -> FieldContext:
     pows = [1]
     for _ in range(n - 1):
         pows.append(ctx.mul(pows[-1], xi))
-    assert ctx.mul(pows[-1], xi) == 1, "xi does not have exact order n"
+    if ctx.mul(pows[-1], xi) != 1:
+        raise AssertionError("xi does not have exact order n")
     logs = {v: i for i, v in enumerate(pows)}
-    assert len(logs) == n, "xi powers collide"
+    if len(logs) != n:
+        raise AssertionError("xi powers collide")
     return FieldContext(n, m, modulus, xi, tuple(pows), logs)
 
 
@@ -383,7 +385,8 @@ def factor_xn1_gf2(n: int) -> tuple[tuple[Coset, BinPoly], ...]:
     prod = BIN_ONE
     for _, p in out:
         prod = prod * p
-    assert prod == xn_minus_1(n), "coset factors do not multiply back to x^n + 1"
+    if prod != xn_minus_1(n):
+        raise AssertionError("coset factors do not multiply back to x^n + 1")
     return tuple(out)
 
 

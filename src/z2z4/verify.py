@@ -42,13 +42,15 @@ from .cyclic import (
     materialize,
     maximal_linear_subcodes,
     order_two_spec,
+    poly_word,
     rank_candidates,
     rank_spec,
+    shift_orbit,
     three_generator_words,
     type_from_degrees,
 )
 from .errors import SizeGuardError
-from .gf2 import BinPoly, gcd2, rotate_mask, xn_minus_1
+from .gf2 import BIN_ZERO, BinPoly, gcd2, rotate_mask, xn_minus_1
 from .z4 import QuatPoly, hensel_lift, quat_factors, xn_minus_1_z4
 
 
@@ -78,25 +80,6 @@ def _log2(n: int) -> int:
     if n <= 0 or n & (n - 1):
         raise AssertionError(f"{n} is not a power of two")
     return n.bit_length() - 1
-
-
-def _poly_word(q: QuatPoly, beta: int, alpha: int = 0) -> Word:
-    q = q % xn_minus_1_z4(beta)
-    lo = hi = 0
-    for i, c in enumerate(q.coeffs):
-        if c & 1:
-            lo |= 1 << i
-        if c & 2:
-            hi |= 1 << i
-    return Word(alpha, beta, 0, lo, hi)
-
-
-def _shift_orbit(w: Word, length: int) -> list[Word]:
-    out = [w]
-    for _ in range(length - 1):
-        w = w.shift()
-        out.append(w)
-    return out
 
 
 def _first_difference(a: AdditiveCode, b: AdditiveCode) -> str:
@@ -208,8 +191,8 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
     cy = code.project_y()
     expected_y = AdditiveCode(
         0, spec.beta,
-        [w for w in _shift_orbit(_poly_word(spec.f * spec.h + 2 * spec.f, spec.beta),
-                                 spec.beta) if not w.is_zero],
+        shift_orbit(poly_word(0, spec.beta, BIN_ZERO, spec.f * spec.h + 2 * spec.f),
+                    spec.beta),
         max_words=max_words,
     )
     add("y-projection", cy == expected_y)
@@ -258,9 +241,7 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
     w1, w2, w3 = three_generator_words(spec)
     three = AdditiveCode(
         spec.alpha, spec.beta,
-        [w for w in (_shift_orbit(w1, spec.alpha)
-                     + _shift_orbit(w2, spec.beta)
-                     + _shift_orbit(w3, spec.beta)) if not w.is_zero],
+        shift_orbit(w1, spec.alpha) + shift_orbit(w2, spec.beta) + shift_orbit(w3, spec.beta),
         max_words=max_words,
     )
     add("three-generators", three == code)
@@ -299,7 +280,10 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSummary:
+    """Rows in enumeration order; ``checked`` is false for closed forms alone."""
+
     rows: tuple[SweepRow, ...]
+    checked: bool = True
 
     @property
     def total(self) -> int:
@@ -355,23 +339,49 @@ def sweep(
     return SweepSummary(tuple(rows))
 
 
-def sweep_rows_csv(summary: SweepSummary) -> str:
-    header = ("alpha,beta,b,ell,f,h,g,gamma,delta,kappa,"
+def tabulate(alpha: int, beta: int, type_filter=None) -> SweepSummary:
+    """Closed-form kernel and rank of every valid spec at one length pair.
+
+    Nothing is enumerated or cross-checked; the rows render like a
+    sweep's, with verdict ``unchecked``.
+    """
+    rows = []
+    for spec in enumerate_cyclic_specs(alpha, beta, type_filter=type_filter):
+        kres = kernel_spec(spec)
+        rres = rank_spec(spec)
+        report = CheckReport(spec, (), None, (), kres.dimension, rres.rank,
+                             kres.k_prime, rres.r)
+        rows.append(SweepRow(spec, False, report))
+    return SweepSummary(tuple(rows), checked=False)
+
+
+CSV_HEADER = ("alpha,beta,b,ell,f,h,g,gamma,delta,kappa,"
               "kernel_dim,rank,k_prime,r,verdict")
-    lines = [header]
+
+
+def csv_row(spec: CyclicSpec, kernel_dim, rank, k_prime, r, verdict: str) -> str:
+    """One line under ``CSV_HEADER``; a guarded row passes empty values."""
+    t = type_from_degrees(spec)
+    cells = (
+        spec.alpha, spec.beta, spec.b, spec.ell, spec.f, spec.h, spec.g,
+        t.gamma, t.delta, t.kappa, kernel_dim, rank, k_prime, r, verdict,
+    )
+    return ",".join(str(c) for c in cells).replace(" ", "")
+
+
+def sweep_rows_csv(summary: SweepSummary) -> str:
+    lines = [CSV_HEADER]
     for row in summary.rows:
-        s = row.spec
-        t = type_from_degrees(s)
+        rep = row.report
         if row.guarded:
-            tail = ",,,,guarded"
+            lines.append(csv_row(row.spec, "", "", "", "", "guarded"))
+            continue
+        if not summary.checked:
+            verdict = "unchecked"
         else:
-            rep = row.report
             verdict = "pass" if rep.passed else "FAIL:" + "|".join(rep.failures)
-            tail = f"{rep.kernel_dim},{rep.rank},{rep.k_prime},{rep.r},{verdict}"
-        lines.append(
-            f"{s.alpha},{s.beta},{s.b},{s.ell},{s.f},{s.h},{s.g},"
-            f"{t.gamma},{t.delta},{t.kappa},{tail}".replace(" ", "")
-        )
+        lines.append(csv_row(row.spec, rep.kernel_dim, rep.rank, rep.k_prime, rep.r,
+                             verdict))
     return "\n".join(lines) + "\n"
 
 
@@ -393,8 +403,9 @@ def sweep_rows_json(summary: SweepSummary) -> list[dict]:
             d.update(
                 kernel_dim=rep.kernel_dim, rank=rep.rank,
                 k_prime=str(rep.k_prime), r=str(rep.r),
-                verdict="pass" if rep.passed else "fail",
             )
+            if summary.checked:
+                d["verdict"] = "pass" if rep.passed else "fail"
             if not rep.passed:
                 d["failures"] = list(rep.failures)
                 d["witness"] = rep.witness
@@ -411,17 +422,20 @@ def sweep_text(summary: SweepSummary) -> str:
             lines.append(f"{s}  type {t}  guarded")
             continue
         rep = row.report
-        verdict = "pass" if rep.passed else "FAIL " + ",".join(rep.failures)
-        lines.append(
-            f"{s}  type {t}  ker={rep.kernel_dim} rank={rep.rank} "
-            f"k'=({rep.k_prime}) r=({rep.r})  {verdict}"
-        )
+        line = (f"{s}  type {t}  ker={rep.kernel_dim} rank={rep.rank} "
+                f"k'=({rep.k_prime}) r=({rep.r})")
+        if summary.checked:
+            line += "  pass" if rep.passed else "  FAIL " + ",".join(rep.failures)
+        lines.append(line)
         if not rep.passed:
             lines.append(f"    witness: {rep.witness}")
-    lines.append(
-        f"{summary.total} specs checked, {summary.guarded} guarded, "
-        f"{len(summary.failures)} failures"
-    )
+    if summary.checked:
+        lines.append(
+            f"{summary.total} specs checked, {summary.guarded} guarded, "
+            f"{len(summary.failures)} failures"
+        )
+    else:
+        lines.append(f"{summary.total} specs")
     return "\n".join(lines) + "\n"
 
 
@@ -495,7 +509,7 @@ def _fx_standard_matrices() -> tuple[bool, list[str]]:
     _require(krows == ("1 2 0 0", "0 2 2 0", "0 2 0 2"),
              f"standard form of the kernel is {krows}")
 
-    single = AdditiveCode(1, 3, [w for w in _shift_orbit(Word.parse("1|200"), 3)])
+    single = AdditiveCode(1, 3, shift_orbit(Word.parse("1|200"), 3))
     _require(kcode == single, "kernel is not the cyclic span of (1 | 2)")
 
     ky = kernel_bruteforce(code.project_y())
@@ -573,7 +587,7 @@ def _fx_maximal_subcodes() -> tuple[bool, list[str]]:
     _require(kcode == kernel_bruteforce(code), "kernel mismatch")
     expected = AdditiveCode(1, 7, [
         Word.parse("1|0000000"),
-        *_shift_orbit(_poly_word(spec.f * 2, 7, alpha=1), 7),
+        *shift_orbit(poly_word(1, 7, BIN_ZERO, spec.f * 2), 7),
     ])
     _require(kcode == expected, "kernel is not the doubled-generator code")
     subs = [materialize(s) for s in maximal_linear_subcodes(spec)]
@@ -621,7 +635,7 @@ def _fx_rank_erosion() -> tuple[bool, list[str]]:
     expected = AdditiveCode(3, 7, [
         Word.parse("100|0000000"), Word.parse("010|0000000"),
         Word.parse("001|0000000"),
-        *_shift_orbit(_poly_word(spec.h + spec.f * 2, 7, alpha=3), 7),
+        *shift_orbit(poly_word(3, 7, BIN_ZERO, spec.h + spec.f * 2), 7),
     ])
     _require(lifted == expected, "span is not the expected two-generator code")
     return False, ["b erodes to 1 in the span: rank 16 against code dimension 15"]

@@ -190,11 +190,15 @@ def hensel_lift(p: BinPoly, n: int) -> QuatPoly:
     if p.degree % 2 == 1:
         A = -A
     acoeffs = A.coeffs
-    assert all(c == 0 for i, c in enumerate(acoeffs) if i % 2 == 1), "odd terms survived Graeffe"
+    if any(acoeffs[1::2]):
+        raise AssertionError("odd terms survived Graeffe")
     H = QuatPoly(acoeffs[::2])
-    assert H.is_monic
-    assert reduce_mod2(H) == p, "lift does not reduce back mod 2"
-    assert H.divides(xn_minus_1_z4(n)), "lift does not divide x^n - 1"
+    if not H.is_monic:
+        raise AssertionError("lift is not monic")
+    if reduce_mod2(H) != p:
+        raise AssertionError("lift does not reduce back mod 2")
+    if not H.divides(xn_minus_1_z4(n)):
+        raise AssertionError("lift does not divide x^n - 1")
     return H
 
 
@@ -205,7 +209,8 @@ def factor_xn1_z4(n: int) -> tuple[tuple[Coset, QuatPoly], ...]:
     prod = Q_ONE
     for _, q in out:
         prod = prod * q
-    assert prod == xn_minus_1_z4(n), "lifted factors do not multiply back to x^n - 1"
+    if prod != xn_minus_1_z4(n):
+        raise AssertionError("lifted factors do not multiply back to x^n - 1")
     return out
 
 
@@ -271,5 +276,6 @@ def bezout_lift(h: QuatPoly, g: QuatPoly) -> BezoutPair:
     e = lam0 * h + mu0 * g - Q_ONE
     lam = lam0 - lam0 * e
     mu = mu0 - mu0 * e
-    assert lam * h + mu * g == Q_ONE, "Bezout lift failed to close"
+    if lam * h + mu * g != Q_ONE:
+        raise AssertionError("Bezout lift failed to close")
     return BezoutPair(lam, mu)

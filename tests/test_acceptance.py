@@ -19,19 +19,14 @@ from z2z4.cyclic import (
     kernel_spec,
     materialize,
     maximal_linear_subcodes,
+    poly_word,
     rank_candidates,
     rank_spec,
+    shift_orbit,
     type_from_degrees,
 )
-from z2z4.gf2 import BinPoly
-from z2z4.verify import (
-    _matrix_lines,
-    _poly_word,
-    _shift_orbit,
-    cross_check,
-    paper_suite,
-    sweep,
-)
+from z2z4.gf2 import BIN_ZERO, BinPoly
+from z2z4.verify import _matrix_lines, cross_check, paper_suite, sweep
 from z2z4.z4 import QuatPoly, factor_xn1_z4, hensel_lift, xn_minus_1_z4
 
 XM1 = QuatPoly((3, 1))
@@ -154,7 +149,7 @@ def test_maximal_subcodes_meet_in_the_kernel():
         assert kcode == kernel_bruteforce(code)
         expected = AdditiveCode(1, 7, [
             Word.parse("1|0000000"),
-            *_shift_orbit(_poly_word(spec.f * 2, 7, alpha=1), 7),
+            *shift_orbit(poly_word(1, 7, BIN_ZERO, spec.f * 2), 7),
         ])
         assert kcode == expected
         assert time.perf_counter() - start < 5.0
@@ -180,7 +175,7 @@ def test_mixing_erodes_the_binary_divisor_from_the_span():
             Word.parse("100|0000000"),
             Word.parse("010|0000000"),
             Word.parse("001|0000000"),
-            *_shift_orbit(_poly_word(spec.h + spec.f * 2, 7, alpha=3), 7),
+            *shift_orbit(poly_word(3, 7, BIN_ZERO, spec.h + spec.f * 2), 7),
         ])
         assert lifted == expected
         assert time.perf_counter() - start < 5.0

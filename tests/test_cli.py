@@ -1,9 +1,14 @@
 """Command line front end: output formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import z2z4
 from z2z4.cli import build_parser, main
 
 F2_FLAGS = [
@@ -158,16 +163,6 @@ def test_search_type_prefix_must_match(capsys):
     assert "type-filter-prefix" in err
 
 
-def test_search_dedupe_keeps_distinct_codes(capsys):
-    rc, out, _ = _run(capsys, [
-        "search", "--alpha", "1", "--beta", "3",
-        "--dedupe", "--format", "json",
-    ])
-    assert rc == 0
-    rows = json.loads(out)
-    assert len(rows) == 24
-
-
 def test_paper_suite_default(capsys):
     rc, out, _ = _run(capsys, ["paper-suite"])
     assert rc == 0
@@ -189,6 +184,22 @@ def test_paper_suite_csv_quotes_titles(capsys):
     assert '"length-(2, 7) kernel sweep"' in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["factor", "--n", "7", "--ring", "z4", "--workers", "2"],
+    ["factor", "--n", "7", "--ring", "z4", "--max-size", "8"],
+    ["paper-suite", "--max-size", "8"],
+    ["paper-suite", "--workers", "2"],
+    ["analyze", *F2_FLAGS, "--workers", "2"],
+    ["enumerate", *F2_FLAGS, "--workers", "2"],
+    ["search", "--alpha", "1", "--beta", "3", "--dedupe"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_workers_default_from_env(monkeypatch):
     monkeypatch.setenv("Z2Z4_WORKERS", "4")
     args = build_parser().parse_args(["search", "--alpha", "1", "--beta", "1"])
@@ -196,3 +207,41 @@ def test_workers_default_from_env(monkeypatch):
     monkeypatch.setenv("Z2Z4_WORKERS", "junk")
     args = build_parser().parse_args(["search", "--alpha", "1", "--beta", "1"])
     assert args.workers == 1
+    args = build_parser().parse_args(
+        ["search", "--alpha", "1", "--beta", "1", "--workers", "3"])
+    assert args.workers == 3
+
+
+_TAMPERED_STANDARD_FORM = """
+import dataclasses
+from z2z4.code import _validate_standard_form, standard_form
+from z2z4.cyclic import cyclic_spec, materialize
+from z2z4.gf2 import BinPoly
+from z2z4.z4 import QuatPoly
+spec = cyclic_spec(1, 3, BinPoly.parse("x+1"), BinPoly.parse("1"),
+                   QuatPoly.parse("1"), QuatPoly.parse("x+3"), QuatPoly.parse("x^2+x+1"))
+code = materialize(spec)
+sf = standard_form(code)
+swapped = dataclasses.replace(sf, quaternary_rows=sf.quaternary_rows[::-1])
+try:
+    _validate_standard_form(swapped, code)
+except AssertionError as exc:
+    print("rejected:", exc)
+"""
+
+
+def test_invariants_survive_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(z2z4.__file__).resolve().parents[1]))
+
+    def run_optimized(*argv):
+        return subprocess.run([sys.executable, "-O", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    suite = run_optimized("-m", "z2z4.cli", "paper-suite")
+    assert suite.returncode == 0, suite.stderr
+    assert "F9  printed span pair at length (3, 7): pass (flagged)" in suite.stdout
+    assert suite.stdout.endswith("suite ok, flagged: F9\n")
+
+    tampered = run_optimized("-c", _TAMPERED_STANDARD_FORM)
+    assert tampered.returncode == 0, tampered.stderr
+    assert tampered.stdout.startswith("rejected: standard form: malformed quaternary")

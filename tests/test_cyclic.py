@@ -26,12 +26,14 @@ from z2z4.cyclic import (
     materialize,
     maximal_linear_subcodes,
     order_two_spec,
+    poly_word,
     quaternary_linear,
     rank_candidates,
     rank_spec,
     raw_pair_count,
     spec_from_dict,
     spec_to_dict,
+    shift_orbit,
     three_generator_words,
     type_from_degrees,
 )
@@ -190,17 +192,28 @@ def test_order_two_subcode_spec():
 def test_three_generator_presentation():
     spec = _mixed_3()
     w1, w2, w3 = three_generator_words(spec)
-    gens = []
-    w = w1
-    for _ in range(spec.alpha):
-        gens.append(w)
-        w = w.shift()
-    for start in (w2, w3):
-        w = start
-        for _ in range(spec.beta):
-            gens.append(w)
-            w = w.shift()
+    gens = shift_orbit(w1, spec.alpha) + shift_orbit(w2, spec.beta) + shift_orbit(w3, spec.beta)
     assert AdditiveCode(spec.alpha, spec.beta, gens) == materialize(spec)
+
+
+def test_poly_word_reduces_both_blocks():
+    # x^3 = 1 in the binary block of length 3; x^3 + 2x^4 = 1 + 2x mod x^3 - 1
+    w = poly_word(3, 3, BinPoly.parse("x^3 + x"), QuatPoly((0, 0, 0, 1, 2)))
+    assert str(w) == "110|120"
+    assert str(poly_word(0, 3, BIN_ZERO, QuatPoly((3, 3)))) == "|330"
+    assert [str(v) for v in shift_orbit(w, 3)] == ["110|120", "011|012", "101|201"]
+
+
+def test_spec_to_code_is_injective():
+    """Distinct canonical pairs generate distinct codes over the sweep range."""
+    seen = {}
+    for alpha in range(1, 7):
+        for beta in (1, 3, 5, 7, 9):
+            for spec in enumerate_cyclic_specs(alpha, beta):
+                key = (alpha, beta, materialize(spec).howell())
+                assert key not in seen, f"{spec} and {seen[key]} generate one code"
+                seen[key] = spec
+    assert len(seen) == 3931
 
 
 def test_maximal_linear_subcodes():

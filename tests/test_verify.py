@@ -5,6 +5,9 @@ import pytest
 from z2z4.cyclic import cyclic_spec, enumerate_cyclic_specs
 from z2z4.gf2 import BinPoly
 from z2z4.verify import (
+    CheckReport,
+    SweepRow,
+    SweepSummary,
     cross_check,
     paper_suite,
     suite_json,
@@ -131,6 +134,29 @@ def test_sweep_csv_header():
     assert header == (
         "alpha,beta,b,ell,f,h,g,gamma,delta,kappa,kernel_dim,rank,k_prime,r,verdict"
     )
+
+
+def test_failing_row_rendering():
+    # a synthetic report: no real spec is known to fail where the verdict
+    # is settled, so none is pinned here
+    spec = _mixed_3()
+    rep = CheckReport(
+        spec, (("cardinality", True), ("kernel-dim", False)),
+        "kernel-dim: closed 3, oracle 2", (), 3, 6, QuatPoly((1, 1, 1)), Q_ONE,
+    )
+    summary = SweepSummary((SweepRow(spec, False, rep),))
+    assert not summary.passed
+    assert sweep_rows_csv(summary).splitlines()[1] == (
+        "1,3,1+x,1,1,3+x,1+x+x^2,1,2,1,3,6,1+x+x^2,1,FAIL:kernel-dim"
+    )
+    (row,) = sweep_rows_json(summary)
+    assert row["verdict"] == "fail"
+    assert row["failures"] == ["kernel-dim"]
+    assert row["witness"] == "kernel-dim: closed 3, oracle 2"
+    lines = sweep_text(summary).splitlines()
+    assert lines[0].endswith("  FAIL kernel-dim")
+    assert lines[1] == "    witness: kernel-dim: closed 3, oracle 2"
+    assert lines[2] == "1 specs checked, 0 guarded, 1 failures"
 
 
 @pytest.fixture(scope="module")

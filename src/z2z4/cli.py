@@ -2,27 +2,28 @@
 
 Commands: ``factor``, ``analyze``, ``enumerate``, ``search``,
 ``paper-suite``.  Every command accepts ``--format {text,json,csv}``;
-``analyze``, ``enumerate`` and ``search`` also take ``--max-size``
-(word-count budget for enumeration), and ``search`` takes ``--workers``.
-Exit codes: 0 success, 1 a check or fixture failed, 2 invalid input,
-3 a resource guard tripped.
+``analyze``, ``enumerate`` and ``search --verify`` also take
+``--max-size`` (word-count budget for enumeration), and
+``search --verify`` takes ``--workers`` (default 1); ``search`` without
+``--verify`` rejects both.  Exit codes: 0 success, 1 a check or fixture
+failed, 2 invalid input, 3 a resource guard tripped.
 
 Polynomial arguments use the shared text grammar (``3 + x + 2x^2``);
 binary and quaternary positions are fixed per argument, never inferred
-from the coefficients.  The only environment variable honoured is
-``Z2Z4_WORKERS``, a default for ``--workers``.
+from the coefficients.  No environment variable is read.
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .code import DEFAULT_MAX_WORDS, Word, gray_array
 from .cyclic import (
     CyclicSpec,
+    KernelResult,
+    RankResult,
     cardinality,
     cyclic_spec,
     kernel_dim_candidates,
@@ -69,14 +70,6 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
     return n
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("Z2Z4_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _format_flag(p: argparse.ArgumentParser) -> None:
@@ -165,10 +158,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
 # analyze
 
 
-def _analysis(spec: CyclicSpec) -> dict:
+def _analysis(spec: CyclicSpec, kres: KernelResult, rres: RankResult) -> dict:
     t = type_from_degrees(spec)
-    kres = kernel_spec(spec)
-    rres = rank_spec(spec)
     return {
         "spec": spec_to_dict(spec),
         "type": [t.alpha, t.beta, t.gamma, t.delta, t.kappa],
@@ -219,10 +210,10 @@ def _analysis_text(a: dict) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    a = _analysis(spec)
     code = EXIT_OK
     if args.verify:
         rep = cross_check(spec, max_words=args.max_size)
+        a = _analysis(spec, rep.kernel_result, rep.rank_result)
         a["verify"] = {
             "passed": rep.passed,
             "checks": [{"name": n, "passed": ok} for n, ok in rep.checks],
@@ -231,6 +222,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
         if not rep.passed:
             code = EXIT_CHECK_FAILED
+    else:
+        a = _analysis(spec, kernel_spec(spec), rank_spec(spec))
     if args.format == "json":
         print(json.dumps(a))
     elif args.format == "csv":
@@ -324,7 +317,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.verify:
         summary = sweep(
             alpha_max=args.alpha, alpha_min=args.alpha, betas=(args.beta,),
-            max_words=args.max_size, workers=args.workers,
+            max_words=args.max_size or DEFAULT_MAX_WORDS, workers=args.workers or 1,
             type_filter=type_filter,
         )
     else:
@@ -406,11 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check every row against enumeration")
     _format_flag(p)
     _max_size_flag(p)
-    p.add_argument(
-        "--workers", type=_positive_int, default=_default_workers(),
-        metavar="K", help="worker processes (default $Z2Z4_WORKERS or 1)",
-    )
-    p.set_defaults(func=cmd_search)
+    p.add_argument("--workers", type=_positive_int, metavar="K",
+                   help="worker processes for --verify (default 1)")
+    # None marks an unset flag: main rejects either flag set without --verify
+    p.set_defaults(func=cmd_search, max_size=None)
 
     p = sub.add_parser("paper-suite", help="run the pinned regression fixtures")
     p.add_argument("--strict-erratum", action="store_true",
@@ -424,6 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "search" and not args.verify:
+        unread = [flag for flag, v in (("--max-size", args.max_size),
+                                       ("--workers", args.workers)) if v is not None]
+        if unread:
+            parser.error(f"unrecognized arguments: {' '.join(unread)} "
+                         "(search reads them only with --verify)")
     try:
         return args.func(args)
     except SizeGuardError as exc:

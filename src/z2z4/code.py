@@ -12,6 +12,11 @@ basis split into order-4 and order-2 rows by exact elimination over the
 mixed alphabet, and ``howell_rows`` gives a canonical matrix used for
 equality tests.  Enumeration is only used by the brute-force oracles,
 guarded by ``max_words``.
+
+Every GF(2) elimination (the order-2 stage of ``group_basis``, the
+standard form, binary codes and type counting) goes through
+``_f2_rref_with_trace``; ``_echelon_uint64`` only pre-reduces numpy mask
+arrays for it.
 """
 
 from dataclasses import dataclass
@@ -272,6 +277,59 @@ def _row_scale(alpha: int, a: list[int], c: int) -> None:
         a[i] = (a[i] * c) % 4
 
 
+def _xbits(alpha: int, r) -> int:
+    """Binary part of a coordinate row as a bitmask."""
+    return sum(r[i] << i for i in range(alpha))
+
+
+def _halved_ybits(alpha: int, r) -> int:
+    """Halved quaternary part of an order-2 coordinate row as a bitmask."""
+    return sum((c >> 1) << i for i, c in enumerate(r[alpha:]))
+
+
+def _sum_rows(alpha: int, rows, trace: int) -> list[int]:
+    """Sum of the coordinate rows whose index bit is set in ``trace``.
+
+    On order-2 rows this is the GF(2) combination an elimination trace
+    records.
+    """
+    out = [0] * len(rows[0])
+    for j, r in enumerate(rows):
+        if (trace >> j) & 1:
+            _row_sub(alpha, out, r, 3)
+    return out
+
+
+def _f2_rref_with_trace(vectors, col_order) -> tuple[
+    list[tuple[int, int, int]], list[int]
+]:
+    """RREF of bit-vectors over GF(2) with full combination tracking.
+
+    Pivots are taken in ``col_order``, each from the first remaining
+    vector with that bit, and cleared from every other row, so the
+    pivot rows are the unique reduced row echelon form for that column
+    order.  Returns (pivot rows as (vector, trace, pivot_col), in pivot
+    order) and (zero-row traces); ``trace`` bit j means original vector
+    j participates.
+    """
+    work = [(v, 1 << i) for i, v in enumerate(vectors)]
+    pivots: list[tuple[int, int, int]] = []
+    for col in col_order:
+        bit = 1 << col
+        hit = next(((v, t) for v, t in work if v & bit), None)
+        if hit is None:
+            continue
+        work.remove(hit)
+        hv, ht = hit
+        work = [(v ^ hv, t ^ ht) if v & bit else (v, t) for v, t in work]
+        pivots = [(v ^ hv, t ^ ht, p) if v & bit else (v, t, p) for v, t, p in pivots]
+        pivots.append((hv, ht, col))
+    zeros = [t for v, t in work if v == 0]
+    if any(v for v, _ in work):
+        raise AssertionError("RREF left nonzero rows outside pivots")
+    return pivots, zeros
+
+
 @dataclass(frozen=True)
 class GroupBasis:
     """Basis of an additive subgroup, split by row order.
@@ -334,28 +392,16 @@ def group_basis(alpha: int, beta: int, generators) -> GroupBasis:
         pivots4.append(col)
         rows = [r for r in rows if any(r)]
 
-    # residual rows are all-even on the quaternary block: an F2 space
-    basis2: list[list[int]] = []
-    pivots2: list[int] = []
-    col_order = list(range(alpha)) + list(range(alpha + beta - 1, alpha - 1, -1))
-    for col in col_order:
-        piv = 1 if col < alpha else 2
-        hit = next((r for r in rows if r[col] == piv), None)
-        if hit is None:
-            continue
-        rows.remove(hit)
-        for r in rows:
-            if r[col]:
-                _row_sub(alpha, r, hit, 1)
-        for r in basis2:
-            if r[col]:
-                _row_sub(alpha, r, hit, 1)
-        basis2.append(hit)
-        pivots2.append(col)
-        rows = [r for r in rows if any(r)]
-
-    if rows:
+    # residual rows are all-even on the quaternary block: an F2 space,
+    # with bit c standing for coordinate c
+    if any(c % 2 for r in rows for c in r[alpha:]):
         raise AssertionError("nonzero residue after group elimination")
+    col_order = list(range(alpha)) + list(range(alpha + beta - 1, alpha - 1, -1))
+    pivots, _ = _f2_rref_with_trace(
+        [_xbits(alpha, r) | (_halved_ybits(alpha, r) << alpha) for r in rows], col_order
+    )
+    basis2 = [_sum_rows(alpha, rows, t) for _, t, _ in pivots]
+    pivots2 = [p for _, _, p in pivots]
 
     # tidy the order-4 rows at the order-2 pivot columns
     for r2, col in zip(basis2, pivots2):
@@ -467,31 +513,8 @@ class CodeType:
     def size(self) -> int:
         return 1 << (self.gamma + 2 * self.delta)
 
-    @property
-    def gray_length(self) -> int:
-        return self.alpha + 2 * self.beta
-
-    def same_main(self, other: "CodeType") -> bool:
-        return (self.alpha, self.beta, self.gamma, self.delta, self.kappa) == (
-            other.alpha,
-            other.beta,
-            other.gamma,
-            other.delta,
-            other.kappa,
-        )
-
     def __str__(self) -> str:
         return f"({self.alpha}, {self.beta}; {self.gamma}, {self.delta}; {self.kappa})"
-
-
-def _bitrows_rank(rows: list[int]) -> int:
-    basis: list[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -524,22 +547,11 @@ class BinaryCode:
 
     @classmethod
     def from_masks(cls, length: int, masks) -> "BinaryCode":
+        """The span of ``masks``; each basis row's pivot is its lowest bit."""
         if isinstance(masks, np.ndarray):
             masks = _echelon_uint64(masks, length)
-        rows: list[int] = []
-        for m in masks:
-            for b in rows:
-                low = b & -b
-                if m & low:
-                    m ^= b
-            if m:
-                rows.append(m)
-                low = m & -m
-                for i, b in enumerate(rows[:-1]):
-                    if b & low:
-                        rows[i] = b ^ m
-        rows.sort(reverse=True)
-        return cls(length, tuple(rows))
+        pivots, _ = _f2_rref_with_trace(masks, range(length))
+        return cls(length, tuple(sorted((v for v, _, _ in pivots), reverse=True)))
 
     @property
     def dim(self) -> int:
@@ -734,14 +746,12 @@ class AdditiveCode:
         """
         gb = self.basis
         a = self.alpha
-        xrows = [int(sum(((r[i] & 1) << i) for i in range(a))) for r in gb.rows2]
-        kappa = _bitrows_rank([r for r in xrows if r])
-        yrows = [
-            int(sum(((r[a + i] >> 1) << i) for i in range(self.beta))) for r in gb.rows2
-        ]
-        kappa1 = gb.gamma - _bitrows_rank([r for r in yrows if r])
-        xall = xrows + [int(sum(((r[i] & 1) << i) for i in range(a))) for r in gb.rows4]
-        delta1 = _bitrows_rank([r for r in xall if r]) - kappa
+        xrows = [_xbits(a, r) for r in gb.rows2]
+        kappa = BinaryCode.from_masks(a, xrows).dim
+        yrows = [_halved_ybits(a, r) for r in gb.rows2]
+        kappa1 = gb.gamma - BinaryCode.from_masks(self.beta, yrows).dim
+        xall = xrows + [_xbits(a, r) for r in gb.rows4]
+        delta1 = BinaryCode.from_masks(a, xall).dim - kappa
         return CodeType(
             self.alpha,
             self.beta,
@@ -781,12 +791,6 @@ class AdditiveCode:
         gens = [w for w in gens if not w.is_zero]
         return AdditiveCode(self.alpha, self.beta, gens, max_words=self.max_words)
 
-    def gray_image(self) -> BinaryCode:
-        """Span of the Gray images: exact only when the code is linear."""
-        return BinaryCode.from_masks(
-            self.alpha + 2 * self.beta, (w.gray for w in self.basis_words())
-        )
-
 
 def product_code(cx: BinaryCode, cy: AdditiveCode) -> AdditiveCode:
     alpha, beta = cx.length, cy.beta
@@ -814,13 +818,12 @@ def type_by_counting(code: AdditiveCode) -> CodeType:
         raise AssertionError("word counts are not powers of two")
     delta = gamma_2delta - gamma_delta
     gamma = gamma_delta - delta
-    xparts = sorted(set(int(v) for v in u[ord2]) - {0})
-    kappa = _bitrows_rank(xparts)
+    kappa = BinaryCode.from_masks(code.alpha, u[ord2]).dim
     n_xonly = int(np.count_nonzero(ord2 & (hi == 0)))
     kappa1 = n_xonly.bit_length() - 1
     if 1 << kappa1 != n_xonly:
         raise AssertionError("binary-only word count is not a power of two")
-    delta1 = _bitrows_rank(sorted(set(int(v) for v in u) - {0})) - kappa
+    delta1 = BinaryCode.from_masks(code.alpha, u).dim - kappa
     return CodeType(
         code.alpha, code.beta, gamma, delta, kappa,
         kappa1=kappa1, kappa2=kappa - kappa1,
@@ -971,32 +974,6 @@ class StandardFormMatrix:
         return tuple(_coords_to_word(self.alpha, self.beta, r) for r in self.c_prime_rows())
 
 
-def _f2_rref_with_trace(vectors: list[int], col_order) -> tuple[
-    list[tuple[int, int, int]], list[int]
-]:
-    """RREF of bit-vectors with full combination tracking.
-
-    Returns (pivot rows as (vector, trace, pivot_col)) and (zero-row
-    traces); ``trace`` bit j means original vector j participates.
-    """
-    work = [(v, 1 << i) for i, v in enumerate(vectors)]
-    pivots: list[tuple[int, int, int]] = []
-    for col in col_order:
-        bit = 1 << col
-        hit = next(((v, t) for v, t in work if v & bit), None)
-        if hit is None:
-            continue
-        work.remove(hit)
-        hv, ht = hit
-        work = [(v ^ hv, t ^ ht) if v & bit else (v, t) for v, t in work]
-        pivots = [(v ^ hv, t ^ ht, p) if v & bit else (v, t, p) for v, t, p in pivots]
-        pivots.append((hv, ht, col))
-    zeros = [t for v, t in work if v == 0]
-    if any(v for v, _ in work):
-        raise AssertionError("RREF left nonzero rows outside pivots")
-    return pivots, zeros
-
-
 def standard_form(code: AdditiveCode) -> StandardFormMatrix:
     alpha, beta = code.alpha, code.beta
     gb = code.basis
@@ -1007,31 +984,15 @@ def standard_form(code: AdditiveCode) -> StandardFormMatrix:
     # split the order-2 rows by whether their quaternary part can be
     # cancelled: combinations with zero quaternary part give the kappa1
     # block, the rest keep independent halved quaternary parts
-    yvecs = [sum(((r[alpha + i] >> 1) << i) for i in range(beta)) for r in rows2]
-    pivots, zeros = _f2_rref_with_trace(yvecs, range(beta))
-
-    def combine(trace: int) -> list[int]:
-        out = [0] * (alpha + beta)
-        for j in range(len(rows2)):
-            if (trace >> j) & 1:
-                _row_sub(alpha, out, rows2[j], 3)
-        return out
-
-    k1_rows = [combine(t) for t in zeros]
-    rest_rows = [combine(t) for _, t, _ in pivots]
+    pivots, zeros = _f2_rref_with_trace([_halved_ybits(alpha, r) for r in rows2], range(beta))
+    k1_rows = [_sum_rows(alpha, rows2, t) for t in zeros]
+    rest_rows = [_sum_rows(alpha, rows2, t) for _, t, _ in pivots]
 
     # RREF the kappa1 block on its binary part
-    xvecs = [sum((r[i] << i) for i in range(alpha)) for r in k1_rows]
-    xp, xz = _f2_rref_with_trace(xvecs, range(alpha))
+    xp, xz = _f2_rref_with_trace([_xbits(alpha, r) for r in k1_rows], range(alpha))
     if xz:
         raise AssertionError("dependent rows in the binary-only block")
-    k1_final: list[tuple[list[int], int]] = []
-    for v, t, p in sorted(xp, key=lambda it: it[2]):
-        row = [0] * (alpha + beta)
-        for j in range(len(k1_rows)):
-            if (t >> j) & 1:
-                _row_sub(alpha, row, k1_rows[j], 3)
-        k1_final.append((row, p))
+    k1_final = [(_sum_rows(alpha, k1_rows, t), p) for _, t, p in xp]
     k1_pivot_cols = [p for _, p in k1_final]
 
     # clear the kappa1 pivot columns from everything else (free: the
@@ -1049,23 +1010,9 @@ def standard_form(code: AdditiveCode) -> StandardFormMatrix:
     # binary elimination among the remaining order-2 rows: pivot rows
     # form the kappa2 block, rows reduced to zero binary part the plain
     # even block
-    k2_rows: list[tuple[list[int], int]] = []
-    even_rows: list[list[int]] = []
-    work = [r for r in rest_rows]
-    for col in range(alpha):
-        hit = next((r for r in work if r[col]), None)
-        if hit is None:
-            continue
-        work.remove(hit)
-        for r in work:
-            if r[col]:
-                _row_sub(alpha, r, hit, 1)
-        for r, _ in k2_rows:
-            if r[col]:
-                _row_sub(alpha, r, hit, 1)
-        k2_rows.append((hit, col))
-    even_rows = work
-    k2_rows.sort(key=lambda it: it[1])
+    xp, xz = _f2_rref_with_trace([_xbits(alpha, r) for r in rest_rows], range(alpha))
+    k2_rows = [(_sum_rows(alpha, rest_rows, t), p) for _, t, p in xp]
+    even_rows = [_sum_rows(alpha, rest_rows, t) for t in xz]
     k2_pivot_cols = [p for _, p in k2_rows]
 
     # clear kappa2 pivot columns from the order-4 rows
@@ -1076,42 +1023,25 @@ def standard_form(code: AdditiveCode) -> StandardFormMatrix:
 
     # canonicalize the plain even rows on halved quaternary parts,
     # scanning right to left
-    ev = [(r, sum(((r[alpha + i] >> 1) << i) for i in range(beta))) for r in even_rows]
-    ev_final: list[tuple[list[int], int, int]] = []
-    for j in range(beta - 1, -1, -1):
-        bit = 1 << j
-        hit = next((item for item in ev if item[1] & bit), None)
-        if hit is None:
-            continue
-        ev.remove(hit)
-        hr, hv = hit
-        nxt = []
-        for r, v in ev:
-            if v & bit:
-                _row_sub(alpha, r, hr, 1)
-                v ^= hv
-            nxt.append((r, v))
-        ev = nxt
-        for i, (r, v, p) in enumerate(ev_final):
-            if v & bit:
-                _row_sub(alpha, r, hr, 1)
-                ev_final[i] = (r, v ^ hv, p)
-        ev_final.append((hr, hv, j))
-    if ev:
+    ep, ez = _f2_rref_with_trace(
+        [_halved_ybits(alpha, r) for r in even_rows], range(beta - 1, -1, -1)
+    )
+    if ez:
         raise AssertionError("even rows left without pivots")
-    ev_final.sort(key=lambda it: it[2])
-    even_pivot_cols = [p for _, _, p in ev_final]
-    even_final = [r for r, _, _ in ev_final]
+    ev_final = sorted(((_sum_rows(alpha, even_rows, t), p) for _, t, p in ep),
+                      key=lambda it: it[1])
+    even_pivot_cols = [p for _, p in ev_final]
+    even_final = [r for r, _ in ev_final]
 
     # reduce every other block at the even pivots so those columns carry
     # only the identity: kappa2 rows get exact zero, order-4 rows a
     # residue in {0, 1}
     for r, _ in k2_rows:
-        for er, _, p in ev_final:
+        for er, p in ev_final:
             if r[alpha + p]:
                 _row_sub(alpha, r, er, 1)
     for r4 in rows4:
-        for er, _, p in ev_final:
+        for er, p in ev_final:
             if r4[alpha + p] >= 2:
                 _row_sub(alpha, r4, er, 1)
 

@@ -27,6 +27,7 @@ from .gf2 import (
     BIN_ZERO,
     BinPoly,
     divisors_of_xn1,
+    ext_gcd2,
     gcd2,
     invert_mod2,
     pairwise_product_span,
@@ -37,7 +38,6 @@ from .z4 import (
     Q_ONE,
     Q_ZERO,
     QuatPoly,
-    bezout_lift,
     hensel_lift,
     lcm_divisors,
     monic_divisors,
@@ -194,15 +194,18 @@ def gray_linear(spec: CyclicSpec) -> bool:
 # order-two subcode and alternative generator forms
 
 
+def _mu_bar(spec: CyclicSpec) -> BinPoly:
+    """The binary cofactor mu of g in lam h + mu g = 1 over GF(2).
+
+    Every closed form reads the Bezout identity for (h, g) only mod 2,
+    so its lift to Z4 is never needed here.
+    """
+    return ext_gcd2(reduce_mod2(spec.h), reduce_mod2(spec.g))[2]
+
+
 def order_two_spec(spec: CyclicSpec) -> CyclicSpec:
     """Generator data for the subcode of words of order at most two."""
-    bez = bezout_lift(spec.h, spec.g)
-    mu_t = reduce_mod2(bez.mu)
-    gt = reduce_mod2(spec.g)
-    ell_b = (mu_t * spec.ell * gt) % spec.b
-    return cyclic_spec(
-        spec.alpha, spec.beta, spec.b, ell_b, spec.f, spec.h * spec.g, QuatPoly((1,))
-    )
+    return linear_subcode_spec(spec, spec.g)
 
 
 def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
@@ -211,11 +214,8 @@ def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
     Rows are (b | 0), (ell' | f h), (ell_b | 2 f) with ell' chosen so
     the middle row carries no doubled contribution from ell.
     """
-    bez = bezout_lift(spec.h, spec.g)
-    mu_t = reduce_mod2(bez.mu)
-    gt = reduce_mod2(spec.g)
     a, be = spec.alpha, spec.beta
-    ell_b = (mu_t * spec.ell * gt) % spec.b
+    ell_b = order_two_spec(spec).ell
     return (
         poly_word(a, be, spec.b, Q_ZERO),
         poly_word(a, be, spec.ell + ell_b, spec.f * spec.h),
@@ -239,9 +239,7 @@ def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
     k must divide g; the subcode keeps b and f, moves k from g to h, and
     adjusts the binary mixing polynomial accordingly.
     """
-    bez = bezout_lift(spec.h, spec.g)
-    mu_t = reduce_mod2(bez.mu)
-    ell_k = _ell_for_divisor(spec, k, mu_t)
+    ell_k = _ell_for_divisor(spec, k, _mu_bar(spec))
     return cyclic_spec(
         spec.alpha, spec.beta, spec.b, ell_k, spec.f, spec.h * k, spec.g // k
     )
@@ -344,8 +342,7 @@ def rank_spec(spec: CyclicSpec) -> RankResult:
         raise AssertionError("product span disagrees with the tensor square prediction")
     cofactor = span_gen // shared
 
-    bez = bezout_lift(spec.h, spec.g)
-    mu_t = reduce_mod2(bez.mu)
+    mu_t = _mu_bar(spec)
     b_r = gcd2(spec.b, mu_t * spec.ell * gt * cofactor)
     if cofactor.is_one:
         st = BIN_ZERO

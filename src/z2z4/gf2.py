@@ -145,9 +145,6 @@ class BinPoly:
             return ()
         return tuple((self.bits >> i) & 1 for i in range(_deg(self.bits) + 1))
 
-    def eval_at_one(self) -> int:
-        return self.bits.bit_count() & 1
-
     def __add__(self, other: "BinPoly") -> "BinPoly":
         return BinPoly(self.bits ^ other.bits)
 

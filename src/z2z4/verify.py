@@ -33,6 +33,8 @@ from .code import (
 )
 from .cyclic import (
     CyclicSpec,
+    KernelResult,
+    RankResult,
     cardinality,
     cyclic_spec,
     enumerate_cyclic_specs,
@@ -56,16 +58,31 @@ from .z4 import QuatPoly, hensel_lift, quat_factors, xn_minus_1_z4
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Verdicts for one spec, in a fixed order, with a failure witness."""
+    """Verdicts for one spec, in a fixed order, with a failure witness,
+    and the closed-form kernel and span the checks were run against."""
 
     spec: CyclicSpec
     checks: tuple[tuple[str, bool], ...]
     witness: str | None
     skipped: tuple[str, ...]
-    kernel_dim: int
-    rank: int
-    k_prime: QuatPoly
-    r: QuatPoly
+    kernel_result: KernelResult
+    rank_result: RankResult
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.kernel_result.dimension
+
+    @property
+    def rank(self) -> int:
+        return self.rank_result.rank
+
+    @property
+    def k_prime(self) -> QuatPoly:
+        return self.kernel_result.k_prime
+
+    @property
+    def r(self) -> QuatPoly:
+        return self.rank_result.r
 
     @property
     def passed(self) -> bool:
@@ -256,10 +273,8 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
         checks=tuple(checks),
         witness=witness,
         skipped=tuple(skipped),
-        kernel_dim=kres.dimension,
-        rank=rres.rank,
-        k_prime=kres.k_prime,
-        r=rres.r,
+        kernel_result=kres,
+        rank_result=rres,
     )
 
 
@@ -345,13 +360,10 @@ def tabulate(alpha: int, beta: int, type_filter=None) -> SweepSummary:
     Nothing is enumerated or cross-checked; the rows render like a
     sweep's, with verdict ``unchecked``.
     """
-    rows = []
-    for spec in enumerate_cyclic_specs(alpha, beta, type_filter=type_filter):
-        kres = kernel_spec(spec)
-        rres = rank_spec(spec)
-        report = CheckReport(spec, (), None, (), kres.dimension, rres.rank,
-                             kres.k_prime, rres.r)
-        rows.append(SweepRow(spec, False, report))
+    rows = [
+        SweepRow(spec, False, CheckReport(spec, (), None, (), kernel_spec(spec), rank_spec(spec)))
+        for spec in enumerate_cyclic_specs(alpha, beta, type_filter=type_filter)
+    ]
     return SweepSummary(tuple(rows), checked=False)
 
 

@@ -198,6 +198,7 @@ def test_five_row_non_cyclic_rank_decomposition():
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.slow
 def test_full_enumeration_cross_checks(full_sweep):
     with acceptance("09", "full enumeration at alpha <= 4, beta <= 9: every "
                           "cross-check passes (< 10 min)"):
@@ -208,6 +209,7 @@ def test_full_enumeration_cross_checks(full_sweep):
         assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_gray_identity_and_nesting_everywhere(full_sweep):
     with acceptance("10", "Gray identity and kernel/code/span nesting hold "
                           "on every enumerated code"):

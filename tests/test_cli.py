@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import z2z4
-from z2z4.cli import build_parser, main
+from z2z4 import cli, cyclic, verify
+from z2z4.cli import main
 
 F2_FLAGS = [
     "--alpha", "1", "--beta", "3",
@@ -147,7 +148,7 @@ def test_search_filtered(capsys):
 def test_search_verify(capsys):
     rc, out, _ = _run(capsys, [
         "search", "--alpha", "2", "--beta", "7",
-        "--type", "2,3", "--verify", "--format", "csv",
+        "--type", "2,3", "--verify", "--workers", "2", "--format", "csv",
     ])
     assert rc == 0
     lines = out.splitlines()
@@ -192,6 +193,8 @@ def test_paper_suite_csv_quotes_titles(capsys):
     ["analyze", *F2_FLAGS, "--workers", "2"],
     ["enumerate", *F2_FLAGS, "--workers", "2"],
     ["search", "--alpha", "1", "--beta", "3", "--dedupe"],
+    ["search", "--alpha", "2", "--beta", "3", "--max-size", "1"],
+    ["search", "--alpha", "2", "--beta", "3", "--workers", "2"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -200,16 +203,22 @@ def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_workers_default_from_env(monkeypatch):
-    monkeypatch.setenv("Z2Z4_WORKERS", "4")
-    args = build_parser().parse_args(["search", "--alpha", "1", "--beta", "1"])
-    assert args.workers == 4
-    monkeypatch.setenv("Z2Z4_WORKERS", "junk")
-    args = build_parser().parse_args(["search", "--alpha", "1", "--beta", "1"])
-    assert args.workers == 1
-    args = build_parser().parse_args(
-        ["search", "--alpha", "1", "--beta", "1", "--workers", "3"])
-    assert args.workers == 3
+def test_analyze_verify_runs_each_closed_form_once(monkeypatch, capsys):
+    # counts the calls made through the names the CLI and the harness
+    # bind; maximal_linear_subcodes's own kernel_spec call is not counted
+    calls = {"kernel_spec": 0, "rank_spec": 0}
+    for name in calls:
+        real = getattr(cyclic, name)
+
+        def counted(spec, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(spec)
+
+        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(verify, name, counted)
+    rc, _, _ = _run(capsys, ["analyze", *F2_FLAGS, "--verify"])
+    assert rc == 0
+    assert calls == {"kernel_spec": 1, "rank_spec": 1}
 
 
 _TAMPERED_STANDARD_FORM = """

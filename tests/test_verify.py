@@ -2,7 +2,7 @@
 
 import pytest
 
-from z2z4.cyclic import cyclic_spec, enumerate_cyclic_specs
+from z2z4.cyclic import cyclic_spec, enumerate_cyclic_specs, kernel_spec, rank_spec
 from z2z4.gf2 import BinPoly
 from z2z4.verify import (
     CheckReport,
@@ -142,7 +142,7 @@ def test_failing_row_rendering():
     spec = _mixed_3()
     rep = CheckReport(
         spec, (("cardinality", True), ("kernel-dim", False)),
-        "kernel-dim: closed 3, oracle 2", (), 3, 6, QuatPoly((1, 1, 1)), Q_ONE,
+        "kernel-dim: closed 3, oracle 2", (), kernel_spec(spec), rank_spec(spec),
     )
     summary = SweepSummary((SweepRow(spec, False, rep),))
     assert not summary.passed

@@ -2,8 +2,9 @@
 
 For every valid cyclic spec at (alpha, beta), in enumeration order, the
 digest covers the group basis rows and pivots, the standard form blocks
-with their column orders, ``code_type()``, the basis of ``project_x()``
-and, for codes of at most ``COUNTING_LIMIT`` words, ``type_by_counting``.
+with their column orders, ``code_type()``, the basis of ``project_x()``,
+the Howell rows, the ``contains`` verdicts on fixed probe words and,
+for codes of at most ``COUNTING_LIMIT`` words, ``type_by_counting``.
 One more digest covers the same outputs for the five-row non-cyclic
 code.  All of these are canonical forms, so any change to the
 elimination code that moves a single row, pivot or type parameter shows
@@ -28,6 +29,15 @@ COUNTING_LIMIT = 1 << 14
 NON_CYCLIC_ROWS = ("100|000", "010|000", "001|200", "000|110", "000|101")
 
 
+def _probes(code: AdditiveCode) -> list[Word]:
+    """Words whose membership is not decided by the basis alone."""
+    a, b = code.alpha, code.beta
+    return [w.shift() + w for w in code.basis_words()] + [
+        Word(a, b, 1, 1, 0),
+        Word(a, b, 0, 0, 1),
+    ]
+
+
 def _structure(code: AdditiveCode) -> tuple:
     gb = code.basis
     sf = standard_form(code)
@@ -37,6 +47,7 @@ def _structure(code: AdditiveCode) -> tuple:
         sf.kappa1_rows, sf.kappa2_rows, sf.even_rows, sf.quaternary_rows,
         sf.x_order, sf.y_order,
         repr(code.code_type()), code.project_x().basis, repr(counted),
+        code.howell(), tuple(code.contains(w) for w in _probes(code)),
     )
 
 

@@ -17,6 +17,11 @@ Every GF(2) elimination (the order-2 stage of ``group_basis``, the
 standard form, binary codes and type counting) goes through
 ``_f2_rref_with_trace``; ``_echelon_uint64`` only pre-reduces numpy mask
 arrays for it.
+
+``Word``'s bitplane arithmetic is the only Z4 arithmetic: the group
+basis, Howell form, membership and standard form all reduce ``Word``s,
+and coordinate tuples appear only at the edges (parsing, display, the
+``rows4``/``rows2`` views, Howell rows and the standard-form blocks).
 """
 
 from dataclasses import dataclass
@@ -86,10 +91,6 @@ class Word:
         return cls.from_vectors(xs, ys)
 
     @property
-    def packed(self) -> int:
-        return self.u | (self.lo << self.alpha) | (self.hi << (self.alpha + self.beta))
-
-    @property
     def gray(self) -> int:
         """Image as a bitmask of length alpha + 2*beta, bit i = coordinate i."""
         return self.u | (self.hi << self.alpha) | ((self.lo ^ self.hi) << (self.alpha + self.beta))
@@ -106,7 +107,7 @@ class Word:
 
     def __add__(self, other: "Word") -> "Word":
         self._check(other)
-        return Word(
+        return _word(
             self.alpha,
             self.beta,
             self.u ^ other.u,
@@ -115,23 +116,30 @@ class Word:
         )
 
     def __neg__(self) -> "Word":
-        return Word(self.alpha, self.beta, self.u, self.lo, self.hi ^ self.lo)
+        return _word(self.alpha, self.beta, self.u, self.lo, self.hi ^ self.lo)
 
     def __sub__(self, other: "Word") -> "Word":
-        return self + (-other)
+        self._check(other)
+        return _word(
+            self.alpha,
+            self.beta,
+            self.u ^ other.u,
+            self.lo ^ other.lo,
+            self.hi ^ other.hi ^ (other.lo & ~self.lo),
+        )
 
     def double(self) -> "Word":
-        return Word(self.alpha, self.beta, 0, 0, self.lo)
+        return _word(self.alpha, self.beta, 0, 0, self.lo)
 
     def __mul__(self, c: int) -> "Word":
         c %= 4
         if c == 0:
-            return Word(self.alpha, self.beta, 0, 0, 0)
+            return _word(self.alpha, self.beta, 0, 0, 0)
         if c == 1:
             return self
         if c == 2:
             return self.double()
-        return self.double() + self
+        return -self
 
     __rmul__ = __mul__
 
@@ -149,7 +157,7 @@ class Word:
                 return m
             return ((m << 1) | (m >> (n - 1))) & ((1 << n) - 1)
 
-        return Word(a, b, rot(self.u, a), rot(self.lo, b), rot(self.hi, b))
+        return _word(a, b, rot(self.u, a), rot(self.lo, b), rot(self.hi, b))
 
     def __eq__(self, other) -> bool:
         return (
@@ -177,6 +185,22 @@ class Word:
         return (Word, (self.alpha, self.beta, self.u, self.lo, self.hi))
 
 
+_set_alpha, _set_beta, _set_u, _set_lo, _set_hi = (
+    Word.__dict__[name].__set__ for name in Word.__slots__
+)
+
+
+def _word(alpha: int, beta: int, u: int, lo: int, hi: int) -> Word:
+    """``Word(...)`` without its range checks, for results of in-range words."""
+    w = object.__new__(Word)
+    _set_alpha(w, alpha)
+    _set_beta(w, beta)
+    _set_u(w, u)
+    _set_lo(w, lo)
+    _set_hi(w, hi)
+    return w
+
+
 def star2(v: Word, w: Word) -> Word:
     """Twice the coordinatewise product of the odd parts: (0 | 2(v' * w')).
 
@@ -184,7 +208,7 @@ def star2(v: Word, w: Word) -> Word:
     and linearity tests quantify over generators instead of all words.
     """
     v._check(w)
-    return Word(v.alpha, v.beta, 0, 0, v.lo & w.lo)
+    return _word(v.alpha, v.beta, 0, 0, v.lo & w.lo)
 
 
 def ungray(bits: int, alpha: int, beta: int) -> Word:
@@ -242,62 +266,48 @@ def _isin_sorted(sorted_arr: np.ndarray, vals: np.ndarray) -> np.ndarray:
 # exact structure: group basis and Howell canonical form
 
 
-def _word_to_coords(w: Word) -> list[int]:
-    return [(w.u >> i) & 1 for i in range(w.alpha)] + [
-        ((w.lo >> i) & 1) + 2 * ((w.hi >> i) & 1) for i in range(w.beta)
-    ]
+def _coord_rows(words) -> tuple[tuple[int, ...], ...]:
+    return tuple(w.x_vector() + w.y_vector() for w in words)
 
 
 def _coords_to_word(alpha: int, beta: int, cs) -> Word:
-    u = lo = hi = 0
-    for i in range(alpha):
-        if cs[i] % 2:
-            u |= 1 << i
-    for i in range(beta):
-        y = cs[alpha + i] % 4
-        if y & 1:
-            lo |= 1 << i
-        if y & 2:
-            hi |= 1 << i
-    return Word(alpha, beta, u, lo, hi)
+    ys = [c % 4 for c in cs[alpha : alpha + beta]]
+    return Word(
+        alpha, beta,
+        sum((c % 2) << i for i, c in enumerate(cs[:alpha])),
+        sum((y & 1) << i for i, y in enumerate(ys)),
+        sum((y >> 1) << i for i, y in enumerate(ys)),
+    )
 
 
-def _row_sub(alpha: int, a: list[int], b: list[int], c: int) -> None:
-    """a -= c*b in place, Z2 on the first alpha coords, Z4 after."""
-    if c % 2:
-        for i in range(alpha):
-            a[i] ^= b[i]
-    for i in range(alpha, len(a)):
-        a[i] = (a[i] - c * b[i]) % 4
+def _f2(w: Word) -> int:
+    """F2 vector ``u | hi << alpha``; it determines an order-2 word."""
+    return w.u | (w.hi << w.alpha)
 
 
-def _row_scale(alpha: int, a: list[int], c: int) -> None:
-    # c must be a unit; units act trivially on the Z2 block
-    for i in range(alpha, len(a)):
-        a[i] = (a[i] * c) % 4
+def _from_f2(alpha: int, beta: int, v: int) -> Word:
+    return _word(alpha, beta, v & ((1 << alpha) - 1), 0, v >> alpha)
 
 
-def _xbits(alpha: int, r) -> int:
-    """Binary part of a coordinate row as a bitmask."""
-    return sum(r[i] << i for i in range(alpha))
-
-
-def _halved_ybits(alpha: int, r) -> int:
-    """Halved quaternary part of an order-2 coordinate row as a bitmask."""
-    return sum((c >> 1) << i for i, c in enumerate(r[alpha:]))
-
-
-def _sum_rows(alpha: int, rows, trace: int) -> list[int]:
-    """Sum of the coordinate rows whose index bit is set in ``trace``.
-
-    On order-2 rows this is the GF(2) combination an elimination trace
-    records.
-    """
-    out = [0] * len(rows[0])
-    for j, r in enumerate(rows):
+def _xor_sum(words, trace: int) -> Word:
+    """Sum of the order-2 words an elimination ``trace`` combines."""
+    v = 0
+    for j, w in enumerate(words):
         if (trace >> j) & 1:
-            _row_sub(alpha, out, r, 3)
-    return out
+            v ^= _f2(w)
+    return _from_f2(words[0].alpha, words[0].beta, v)
+
+
+def _cancel(r: Word, pivot: Word, bit: int) -> Word:
+    """``r`` minus the multiple of ``pivot`` that clears quaternary ``bit``.
+
+    ``pivot`` must be 1 at ``bit``; the multiple is r's own value there.
+    """
+    if r.lo & bit:
+        return r + pivot if r.hi & bit else r - pivot
+    if r.hi & bit:
+        return r + pivot.double()
+    return r
 
 
 def _f2_rref_with_trace(vectors, col_order) -> tuple[
@@ -334,8 +344,8 @@ def _f2_rref_with_trace(vectors, col_order) -> tuple[
 class GroupBasis:
     """Basis of an additive subgroup, split by row order.
 
-    ``rows4`` have unit pivots at distinct quaternary columns
-    (``pivots4``, found scanning right to left); ``rows2`` generate the
+    ``words4`` have unit pivots at distinct quaternary columns
+    (``pivots4``, found scanning right to left); ``words2`` generate the
     residual elementary 2-group and are fully reduced with pivots
     ``pivots2`` (binary columns left to right, then quaternary columns
     right to left, where the pivot value is 2).  Every word has a unique
@@ -345,81 +355,64 @@ class GroupBasis:
 
     alpha: int
     beta: int
-    rows4: tuple[tuple[int, ...], ...]
+    words4: tuple[Word, ...]
     pivots4: tuple[int, ...]
-    rows2: tuple[tuple[int, ...], ...]
+    words2: tuple[Word, ...]
     pivots2: tuple[int, ...]
 
     @property
+    def rows4(self) -> tuple[tuple[int, ...], ...]:
+        return _coord_rows(self.words4)
+
+    @property
+    def rows2(self) -> tuple[tuple[int, ...], ...]:
+        return _coord_rows(self.words2)
+
+    @property
     def delta(self) -> int:
-        return len(self.rows4)
+        return len(self.words4)
 
     @property
     def gamma(self) -> int:
-        return len(self.rows2)
+        return len(self.words2)
 
     @property
     def size(self) -> int:
         return 1 << (self.gamma + 2 * self.delta)
 
-    def words4(self) -> tuple[Word, ...]:
-        return tuple(_coords_to_word(self.alpha, self.beta, r) for r in self.rows4)
-
-    def words2(self) -> tuple[Word, ...]:
-        return tuple(_coords_to_word(self.alpha, self.beta, r) for r in self.rows2)
-
 
 def group_basis(alpha: int, beta: int, generators) -> GroupBasis:
-    rows = [_word_to_coords(w) for w in generators]
-    rows = [r for r in rows if any(r)]
+    rows = [w for w in generators if not w.is_zero]
 
-    basis4: list[list[int]] = []
+    words4: list[Word] = []
     pivots4: list[int] = []
     for col in range(alpha + beta - 1, alpha - 1, -1):
-        hit = next((r for r in rows if r[col] % 2 == 1), None)
+        bit = 1 << (col - alpha)
+        hit = next((r for r in rows if r.lo & bit), None)
         if hit is None:
             continue
         rows.remove(hit)
-        if hit[col] == 3:
-            _row_scale(alpha, hit, 3)
-        for r in rows:
-            if r[col]:
-                _row_sub(alpha, r, hit, r[col])
-        for r in basis4:
-            if r[col]:
-                _row_sub(alpha, r, hit, r[col])
-        basis4.append(hit)
+        if hit.hi & bit:
+            hit = -hit
+        rows = [r for r in (_cancel(r, hit, bit) for r in rows) if not r.is_zero]
+        words4 = [_cancel(r, hit, bit) for r in words4]
+        words4.append(hit)
         pivots4.append(col)
-        rows = [r for r in rows if any(r)]
 
     # residual rows are all-even on the quaternary block: an F2 space,
-    # with bit c standing for coordinate c
-    if any(c % 2 for r in rows for c in r[alpha:]):
+    # with bit c of ``_f2`` standing for coordinate c
+    if any(r.lo for r in rows):
         raise AssertionError("nonzero residue after group elimination")
     col_order = list(range(alpha)) + list(range(alpha + beta - 1, alpha - 1, -1))
-    pivots, _ = _f2_rref_with_trace(
-        [_xbits(alpha, r) | (_halved_ybits(alpha, r) << alpha) for r in rows], col_order
-    )
-    basis2 = [_sum_rows(alpha, rows, t) for _, t, _ in pivots]
+    pivots, _ = _f2_rref_with_trace([_f2(r) for r in rows], col_order)
+    words2 = [_from_f2(alpha, beta, v) for v, _, _ in pivots]
     pivots2 = [p for _, _, p in pivots]
 
     # tidy the order-4 rows at the order-2 pivot columns
-    for r2, col in zip(basis2, pivots2):
-        for r4 in basis4:
-            if col < alpha:
-                if r4[col]:
-                    _row_sub(alpha, r4, r2, 1)
-            elif r4[col] >= 2:
-                _row_sub(alpha, r4, r2, 1)
+    for r2, col in zip(words2, pivots2):
+        words4 = [r4 + r2 if (_f2(r4) >> col) & 1 else r4 for r4 in words4]
 
-    return GroupBasis(
-        alpha,
-        beta,
-        tuple(tuple(r) for r in basis4),
-        tuple(pivots4),
-        tuple(tuple(r) for r in basis2),
-        tuple(pivots2),
-    )
+    return GroupBasis(alpha, beta, tuple(words4), tuple(pivots4), tuple(words2), tuple(pivots2))
 
 
 def howell_rows(alpha: int, beta: int, generators) -> tuple[tuple[int, ...], ...]:
@@ -431,41 +424,36 @@ def howell_rows(alpha: int, beta: int, generators) -> tuple[tuple[int, ...], ...
     pivot contributes its double back to the working set.
     """
     n = alpha + beta
-
-    def embed(w: Word) -> list[int]:
-        cs = _word_to_coords(w)
-        return [2 * cs[i] if i < alpha else cs[i] for i in range(n)]
-
-    work = [r for r in (embed(w) for w in generators) if any(r)]
-    out: list[list[int]] = []
+    # each word as a Z4 word of length n, binary coordinates becoming 2
+    work = [
+        _word(0, n, 0, w.lo << alpha, w.u | (w.hi << alpha))
+        for w in generators
+        if not w.is_zero
+    ]
+    out: list[Word] = []
     for col in range(n):
-        unit = next((r for r in work if r[col] in (1, 3)), None)
+        bit = 1 << col
+        unit = next((r for r in work if r.lo & bit), None)
         if unit is not None:
             work.remove(unit)
-            if unit[col] == 3:
-                unit[:] = [(3 * c) % 4 for c in unit]
-            for r in work + out:
-                if r[col]:
-                    c = r[col]
-                    r[:] = [(rc - c * uc) % 4 for rc, uc in zip(r, unit)]
+            if unit.hi & bit:
+                unit = -unit
+            work = [_cancel(r, unit, bit) for r in work]
+            out = [_cancel(r, unit, bit) for r in out]
             out.append(unit)
         else:
-            two = next((r for r in work if r[col] == 2), None)
+            two = next((r for r in work if r.hi & bit), None)
             if two is None:
                 continue
             work.remove(two)
-            for r in work:
-                if r[col]:
-                    r[:] = [(rc - tc) % 4 for rc, tc in zip(r, two)]
-            for r in out:
-                if r[col] >= 2:
-                    r[:] = [(rc - tc) % 4 for rc, tc in zip(r, two)]
-            work.append([(2 * c) % 4 for c in two])
+            work = [r - two if r.hi & bit else r for r in work]
+            out = [r - two if r.hi & bit else r for r in out]
+            work.append(two.double())
             out.append(two)
-        work = [r for r in work if any(r)]
+        work = [r for r in work if not r.is_zero]
     if work:
         raise AssertionError("Howell reduction left unprocessed rows")
-    return tuple(tuple(r) for r in out)
+    return _coord_rows(out)
 
 
 @dataclass(frozen=True)
@@ -667,7 +655,7 @@ class AdditiveCode:
         return self.basis.size
 
     def basis_words(self) -> tuple[Word, ...]:
-        return self.basis.words4() + self.basis.words2()
+        return self.basis.words4 + self.basis.words2
 
     def words(self) -> np.ndarray:
         """Sorted packed array of all words; guarded by ``max_words``."""
@@ -679,11 +667,11 @@ class AdditiveCode:
                     predicted=gb.size,
                 )
             arr = np.zeros(1, dtype=np.uint64)
-            for w in gb.words4():
+            for w in gb.words4:
                 arr = np.concatenate(
                     [arr, _add_word(arr, w), _add_word(arr, w * 2), _add_word(arr, w * 3)]
                 )
-            for w in gb.words2():
+            for w in gb.words2:
                 arr = np.concatenate([arr, _add_word(arr, w)])
             arr.sort()
             if len(arr) != gb.size:
@@ -695,22 +683,16 @@ class AdditiveCode:
         if w.alpha != self.alpha or w.beta != self.beta:
             return False
         gb = self.basis
-        cs = _word_to_coords(w)
-        for row, col in zip(gb.rows4, gb.pivots4):
-            c = cs[col] % 4
-            if c:
-                _row_sub(self.alpha, cs, list(row), c)
-        for row, col in zip(gb.rows2, gb.pivots2):
-            v = cs[col]
-            if col < self.alpha:
-                if v:
-                    _row_sub(self.alpha, cs, list(row), 1)
-            else:
-                if v % 2:
-                    return False
-                if v:
-                    _row_sub(self.alpha, cs, list(row), 1)
-        return not any(cs)
+        for row, col in zip(gb.words4, gb.pivots4):
+            w = _cancel(w, row, 1 << (col - self.alpha))
+        # order-2 rows never change ``lo``, so what is left must be order 2
+        if w.lo:
+            return False
+        v = _f2(w)
+        for row, col in zip(gb.words2, gb.pivots2):
+            if (v >> col) & 1:
+                v ^= _f2(row)
+        return v == 0
 
     def membership_mask(self, packed: np.ndarray) -> np.ndarray:
         return _isin_sorted(self.words(), packed)
@@ -746,12 +728,10 @@ class AdditiveCode:
         """
         gb = self.basis
         a = self.alpha
-        xrows = [_xbits(a, r) for r in gb.rows2]
+        xrows = [w.u for w in gb.words2]
         kappa = BinaryCode.from_masks(a, xrows).dim
-        yrows = [_halved_ybits(a, r) for r in gb.rows2]
-        kappa1 = gb.gamma - BinaryCode.from_masks(self.beta, yrows).dim
-        xall = xrows + [_xbits(a, r) for r in gb.rows4]
-        delta1 = BinaryCode.from_masks(a, xall).dim - kappa
+        kappa1 = gb.gamma - BinaryCode.from_masks(self.beta, [w.hi for w in gb.words2]).dim
+        delta1 = BinaryCode.from_masks(a, xrows + [w.u for w in gb.words4]).dim - kappa
         return CodeType(
             self.alpha,
             self.beta,
@@ -787,7 +767,7 @@ class AdditiveCode:
 
     def order_two_subcode(self) -> "AdditiveCode":
         gb = self.basis
-        gens = list(gb.words2()) + [w.double() for w in gb.words4()]
+        gens = list(gb.words2) + [w.double() for w in gb.words4]
         gens = [w for w in gens if not w.is_zero]
         return AdditiveCode(self.alpha, self.beta, gens, max_words=self.max_words)
 
@@ -966,88 +946,66 @@ class StandardFormMatrix:
         cols = list(self.x_order) + [self.alpha + j for j in self.y_order]
         return tuple(tuple(r[c] for c in cols) for r in self.rows())
 
-    def c_prime_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Rows generating the subcode that carries the quaternary action."""
-        return self.even_rows + self.quaternary_rows
-
     def c_prime_words(self) -> tuple[Word, ...]:
-        return tuple(_coords_to_word(self.alpha, self.beta, r) for r in self.c_prime_rows())
+        """Rows generating the subcode that carries the quaternary action."""
+        rows = self.even_rows + self.quaternary_rows
+        return tuple(_coords_to_word(self.alpha, self.beta, r) for r in rows)
 
 
 def standard_form(code: AdditiveCode) -> StandardFormMatrix:
     alpha, beta = code.alpha, code.beta
     gb = code.basis
-    rows4 = [list(r) for r in gb.rows4]
-    pivots4 = list(gb.pivots4)
-    rows2 = [list(r) for r in gb.rows2]
+    rows4 = list(gb.words4)
 
     # split the order-2 rows by whether their quaternary part can be
     # cancelled: combinations with zero quaternary part give the kappa1
     # block, the rest keep independent halved quaternary parts
-    pivots, zeros = _f2_rref_with_trace([_halved_ybits(alpha, r) for r in rows2], range(beta))
-    k1_rows = [_sum_rows(alpha, rows2, t) for t in zeros]
-    rest_rows = [_sum_rows(alpha, rows2, t) for _, t, _ in pivots]
+    pivots, zeros = _f2_rref_with_trace([w.hi for w in gb.words2], range(beta))
+    k1_rows = [_xor_sum(gb.words2, t) for t in zeros]
+    rest_rows = [_xor_sum(gb.words2, t) for _, t, _ in pivots]
 
     # RREF the kappa1 block on its binary part
-    xp, xz = _f2_rref_with_trace([_xbits(alpha, r) for r in k1_rows], range(alpha))
+    xp, xz = _f2_rref_with_trace([w.u for w in k1_rows], range(alpha))
     if xz:
         raise AssertionError("dependent rows in the binary-only block")
-    k1_final = [(_sum_rows(alpha, k1_rows, t), p) for _, t, p in xp]
+    k1_final = [(_xor_sum(k1_rows, t), p) for _, t, p in xp]
     k1_pivot_cols = [p for _, p in k1_final]
 
     # clear the kappa1 pivot columns from everything else (free: the
     # kappa1 rows have zero quaternary part)
-    def clear_k1(row: list[int]) -> None:
-        for r1, p in k1_final:
-            if row[p]:
-                _row_sub(alpha, row, r1, 1)
-
-    for r in rest_rows:
-        clear_k1(r)
-    for r in rows4:
-        clear_k1(r)
+    for r1, p in k1_final:
+        rest_rows = [r + r1 if (r.u >> p) & 1 else r for r in rest_rows]
+        rows4 = [r + r1 if (r.u >> p) & 1 else r for r in rows4]
 
     # binary elimination among the remaining order-2 rows: pivot rows
     # form the kappa2 block, rows reduced to zero binary part the plain
     # even block
-    xp, xz = _f2_rref_with_trace([_xbits(alpha, r) for r in rest_rows], range(alpha))
-    k2_rows = [(_sum_rows(alpha, rest_rows, t), p) for _, t, p in xp]
-    even_rows = [_sum_rows(alpha, rest_rows, t) for t in xz]
+    xp, xz = _f2_rref_with_trace([w.u for w in rest_rows], range(alpha))
+    k2_rows = [(_xor_sum(rest_rows, t), p) for _, t, p in xp]
+    even_rows = [_xor_sum(rest_rows, t) for t in xz]
     k2_pivot_cols = [p for _, p in k2_rows]
 
     # clear kappa2 pivot columns from the order-4 rows
-    for r4 in rows4:
-        for r2, p in k2_rows:
-            if r4[p]:
-                _row_sub(alpha, r4, r2, 1)
+    for r2, p in k2_rows:
+        rows4 = [r4 + r2 if (r4.u >> p) & 1 else r4 for r4 in rows4]
 
     # canonicalize the plain even rows on halved quaternary parts,
     # scanning right to left
-    ep, ez = _f2_rref_with_trace(
-        [_halved_ybits(alpha, r) for r in even_rows], range(beta - 1, -1, -1)
-    )
+    ep, ez = _f2_rref_with_trace([w.hi for w in even_rows], range(beta - 1, -1, -1))
     if ez:
         raise AssertionError("even rows left without pivots")
-    ev_final = sorted(((_sum_rows(alpha, even_rows, t), p) for _, t, p in ep),
-                      key=lambda it: it[1])
+    ev_final = sorted(((_xor_sum(even_rows, t), p) for _, t, p in ep), key=lambda it: it[1])
     even_pivot_cols = [p for _, p in ev_final]
-    even_final = [r for r, _ in ev_final]
 
     # reduce every other block at the even pivots so those columns carry
     # only the identity: kappa2 rows get exact zero, order-4 rows a
     # residue in {0, 1}
-    for r, _ in k2_rows:
-        for er, p in ev_final:
-            if r[alpha + p]:
-                _row_sub(alpha, r, er, 1)
-    for r4 in rows4:
-        for er, p in ev_final:
-            if r4[alpha + p] >= 2:
-                _row_sub(alpha, r4, er, 1)
+    for er, p in ev_final:
+        k2_rows = [(r + er, q) if (r.hi >> p) & 1 else (r, q) for r, q in k2_rows]
+        rows4 = [r4 + er if (r4.hi >> p) & 1 else r4 for r4 in rows4]
 
     # order-4 rows by ascending pivot column
-    q = sorted(zip(rows4, pivots4), key=lambda it: it[1])
-    quaternary_final = [r for r, _ in q]
+    q = sorted(zip(rows4, gb.pivots4), key=lambda it: it[1])
     quaternary_pivot_cols = [p - alpha for _, p in q]
 
     x_rest = [c for c in range(alpha) if c not in set(k1_pivot_cols) | set(k2_pivot_cols)]
@@ -1056,10 +1014,10 @@ def standard_form(code: AdditiveCode) -> StandardFormMatrix:
     sf = StandardFormMatrix(
         alpha,
         beta,
-        tuple(tuple(r) for r, _ in k1_final),
-        tuple(tuple(r) for r, _ in k2_rows),
-        tuple(tuple(r) for r in even_final),
-        tuple(tuple(r) for r in quaternary_final),
+        _coord_rows(r for r, _ in k1_final),
+        _coord_rows(r for r, _ in k2_rows),
+        _coord_rows(r for r, _ in ev_final),
+        _coord_rows(r for r, _ in q),
         tuple(k1_pivot_cols + k2_pivot_cols + x_rest),
         tuple(y_rest + even_pivot_cols + quaternary_pivot_cols),
     )

@@ -12,6 +12,7 @@ reported as flagged rather than asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 
 import numpy as np
@@ -41,8 +42,8 @@ from .cyclic import (
     gray_linear,
     kernel_dim_candidates,
     kernel_spec,
+    linear_subcode_spec,
     materialize,
-    maximal_linear_subcodes,
     order_two_spec,
     poly_word,
     rank_candidates,
@@ -188,7 +189,8 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
         f"dim {kres.dimension} not among {kernel_dim_candidates(t)}")
     add("kernel-bounds", t.gamma + t.delta <= kres.dimension <= t.gamma + 2 * t.delta)
 
-    subcodes = [materialize(s, max_words=max_words) for s in maximal_linear_subcodes(spec)]
+    subcodes = [materialize(linear_subcode_spec(spec, k), max_words=max_words)
+                for k in kres.minimal_divisors]
     meet = subcodes[0].words()
     for sub in subcodes[1:]:
         meet = np.intersect1d(meet, sub.words())
@@ -552,11 +554,10 @@ def _listed_sweep_specs() -> tuple[list[CyclicSpec], list[CyclicSpec]]:
     return kappa2, kappa1
 
 
-def _filtered_2_7() -> list[tuple[CyclicSpec, CheckReport]]:
-    out = []
-    for spec in enumerate_cyclic_specs(2, 7, type_filter=(2, 3)):
-        out.append((spec, cross_check(spec)))
-    return out
+@lru_cache(maxsize=1)
+def _filtered_2_7() -> tuple[tuple[CyclicSpec, CheckReport], ...]:
+    """Cross-checked specs of type (2, 7; 2, 3; *), shared by F3 and F5."""
+    return tuple((s, cross_check(s)) for s in enumerate_cyclic_specs(2, 7, type_filter=(2, 3)))
 
 
 def _fx_kernel_sweep() -> tuple[bool, list[str]]:
@@ -602,7 +603,7 @@ def _fx_maximal_subcodes() -> tuple[bool, list[str]]:
         *shift_orbit(poly_word(1, 7, BIN_ZERO, spec.f * 2), 7),
     ])
     _require(kcode == expected, "kernel is not the doubled-generator code")
-    subs = [materialize(s) for s in maximal_linear_subcodes(spec)]
+    subs = [materialize(linear_subcode_spec(spec, k)) for k in kres.minimal_divisors]
     _require(len(subs) == 2, f"{len(subs)} maximal subcodes")
     meet = np.intersect1d(subs[0].words(), subs[1].words())
     _require(bool(np.array_equal(meet, kcode.words())),

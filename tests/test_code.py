@@ -118,6 +118,28 @@ def test_star_is_symmetric(pair):
     assert star2(v, w) == star2(w, v)
 
 
+@given(word_pairs(), st.integers(0, 3))
+def test_word_arithmetic_matches_coordinates(pair, c):
+    """Bitplane operators agree with mod 2 / mod 4 coordinate arithmetic."""
+    v, w = pair
+
+    def ref(op):
+        xs = tuple(op(a, b) % 2 for a, b in zip(v.x_vector(), w.x_vector()))
+        ys = tuple(op(a, b) % 4 for a, b in zip(v.y_vector(), w.y_vector()))
+        return xs, ys
+
+    cases = [
+        (v + w, ref(lambda a, b: a + b)),
+        (v - w, ref(lambda a, b: a - b)),
+        (-v, ref(lambda a, b: -a)),
+        (c * v, ref(lambda a, b: c * a)),
+        (v.double(), ref(lambda a, b: 2 * a)),
+    ]
+    for got, (xs, ys) in cases:
+        assert (got.x_vector(), got.y_vector()) == (xs, ys)
+        assert got == Word.from_vectors(xs, ys)
+
+
 def test_gray_array_matches_scalar():
     alpha, beta = 3, 4
     packed = np.arange(1 << (alpha + 2 * beta), dtype=np.uint64)

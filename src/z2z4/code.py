@@ -271,13 +271,17 @@ def _coord_rows(words) -> tuple[tuple[int, ...], ...]:
 
 
 def _coords_to_word(alpha: int, beta: int, cs) -> Word:
-    ys = [c % 4 for c in cs[alpha : alpha + beta]]
-    return Word(
-        alpha, beta,
-        sum((c % 2) << i for i, c in enumerate(cs[:alpha])),
-        sum((y & 1) << i for i, y in enumerate(ys)),
-        sum((y >> 1) << i for i, y in enumerate(ys)),
-    )
+    u = lo = hi = 0
+    for i in range(alpha):
+        if cs[i] % 2:
+            u |= 1 << i
+    for i in range(beta):
+        y = cs[alpha + i] % 4
+        if y & 1:
+            lo |= 1 << i
+        if y & 2:
+            hi |= 1 << i
+    return Word(alpha, beta, u, lo, hi)
 
 
 def _f2(w: Word) -> int:
@@ -424,7 +428,6 @@ def howell_rows(alpha: int, beta: int, generators) -> tuple[tuple[int, ...], ...
     pivot contributes its double back to the working set.
     """
     n = alpha + beta
-    # each word as a Z4 word of length n, binary coordinates becoming 2
     work = [
         _word(0, n, 0, w.lo << alpha, w.u | (w.hi << alpha))
         for w in generators
@@ -753,11 +756,8 @@ class AdditiveCode:
     def project_y(self) -> "AdditiveCode":
         if self.beta == 0:
             raise ValueError("no quaternary block to project onto")
-        gens = [
-            Word(0, self.beta, 0, w.lo, w.hi)
-            for w in self.basis_words()
-            if w.lo or w.hi
-        ]
+        # zero projections need no filtering: group_basis and howell_rows drop zeros
+        gens = [Word(0, self.beta, 0, w.lo, w.hi) for w in self.basis_words()]
         return AdditiveCode(0, self.beta, gens, max_words=self.max_words)
 
     def is_separable(self) -> bool:
@@ -767,8 +767,7 @@ class AdditiveCode:
 
     def order_two_subcode(self) -> "AdditiveCode":
         gb = self.basis
-        gens = list(gb.words2) + [w.double() for w in gb.words4]
-        gens = [w for w in gens if not w.is_zero]
+        gens = gb.words2 + tuple(w.double() for w in gb.words4)
         return AdditiveCode(self.alpha, self.beta, gens, max_words=self.max_words)
 
 

@@ -2,12 +2,14 @@
 
 import pytest
 
-from z2z4.cyclic import cyclic_spec, enumerate_cyclic_specs, kernel_spec, rank_spec
+from z2z4.code import AdditiveCode, Word
+from z2z4.cyclic import cyclic_spec, enumerate_cyclic_specs, kernel_spec, materialize, rank_spec
 from z2z4.gf2 import BinPoly
 from z2z4.verify import (
     CheckReport,
     SweepRow,
     SweepSummary,
+    _first_difference,
     cross_check,
     paper_suite,
     suite_json,
@@ -73,6 +75,21 @@ def test_cross_check_mixed_example():
     assert report.rank == 6
     assert report.k_prime == QuatPoly((1, 1, 1))
     assert report.r == Q_ONE
+
+
+def test_first_difference_names_the_smallest_word_of_the_symmetric_difference():
+    code = materialize(_mixed_3())
+    sub = code.order_two_subcode()
+    assert _first_difference(code, code) == "codes are equal"
+    assert _first_difference(code, materialize(_mixed_3())) == "codes are equal"
+    assert _first_difference(code, sub) == "word 1|110"
+    assert _first_difference(sub, code) == "word 1|110"
+    # the smallest differing word may lie in either code
+    a = AdditiveCode(1, 3, [Word.parse("1|111")])
+    b = AdditiveCode(1, 3, [Word.parse("0|200")])
+    assert _first_difference(a, b) == _first_difference(b, a) == "word 1|111"
+    c = AdditiveCode(1, 3, [Word.parse("0|020")])
+    assert _first_difference(b, c) == _first_difference(c, b) == "word 0|200"
 
 
 def test_check_names_are_stable():

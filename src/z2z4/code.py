@@ -256,7 +256,18 @@ def ungray_array(bits: np.ndarray, alpha: int, beta: int) -> np.ndarray:
     return _pack(u, lo, hi, alpha, beta)
 
 
+def _sorted_unique(arr: np.ndarray) -> np.ndarray:
+    """Distinct values in ascending order: a sort, then each element
+    that differs from its predecessor.  numpy 2.x's own unique hashes,
+    which is many times slower on large uint64 arrays."""
+    arr = np.sort(arr)
+    if len(arr) < 2:
+        return arr
+    return arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
+
+
 def _isin_sorted(sorted_arr: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``np.isin(vals, sorted_arr)`` for a sorted, duplicate-free ``sorted_arr``."""
     idx = np.searchsorted(sorted_arr, vals)
     idx[idx == len(sorted_arr)] = 0
     return sorted_arr[idx] == vals if len(sorted_arr) else np.zeros(len(vals), dtype=bool)
@@ -624,7 +635,7 @@ class AdditiveCode:
         Generators are extracted by growing a span until it covers the
         input; if the input is not additively closed this raises.
         """
-        arr = np.unique(np.asarray(packed, dtype=np.uint64))
+        arr = _sorted_unique(np.asarray(packed, dtype=np.uint64))
         if len(arr) == 0 or arr[0] != 0:
             raise ValueError("a code must contain the zero word")
         span = np.zeros(1, dtype=np.uint64)
@@ -640,7 +651,7 @@ class AdditiveCode:
                 m = w * c
                 if not m.is_zero:
                     parts.append(_add_word(span, m))
-            span = np.unique(np.concatenate(parts))
+            span = _sorted_unique(np.concatenate(parts))
         if len(span) != len(arr):
             raise ValueError("word set is not additively closed")
         code = cls(alpha, beta, gens, max_words=max_words)
@@ -819,21 +830,23 @@ def kernel_bruteforce(code: AdditiveCode, exhaustive: bool = False) -> AdditiveC
 
     v qualifies iff 2(v * w) lands in the code for every word w; by
     bilinearity it is enough to range w over the basis rows unless
-    ``exhaustive`` insists on all words.
+    ``exhaustive`` insists on all words.  2(v * w) depends on v and w
+    only through their residues mod 2, so each distinct residue of the
+    words is tested once, against the residue of each w.
     """
     arr = code.words()
     alpha, beta = code.alpha, code.beta
     _, lo, _ = _split(arr, alpha, beta)
-    keep = np.ones(len(arr), dtype=bool)
+    residues = _sorted_unique(lo)
     if exhaustive:
-        witnesses = [Word.from_packed(int(p), alpha, beta) for p in arr]
+        witnesses = [int(r) for r in residues]
     else:
-        witnesses = list(code.basis_words())
-    for w in witnesses:
-        if w.lo == 0:
-            continue
-        star = (lo & _u64(w.lo)) << _u64(alpha + beta)
-        keep &= code.membership_mask(star)
+        witnesses = [w.lo for w in code.basis_words()]
+    passed = np.ones(len(residues), dtype=bool)
+    for wlo in witnesses:
+        if wlo:
+            passed &= code.membership_mask((residues & _u64(wlo)) << _u64(alpha + beta))
+    keep = _isin_sorted(residues[passed], lo)
     return AdditiveCode.from_words(alpha, beta, arr[keep], max_words=code.max_words)
 
 
@@ -856,16 +869,25 @@ def span_bruteforce(
     arr = code.words()
     masks = gray_array(arr, code.alpha, code.beta)
     span = BinaryCode.from_masks(code.alpha + 2 * code.beta, masks)
-    lifted = None
-    if lift:
-        if span.size > budget:
-            raise SizeGuardError(
-                f"Gray span has {span.size} words, above the {budget} budget",
-                predicted=span.size,
-            )
-        packed = ungray_array(span.words(max_words=budget), code.alpha, code.beta)
-        lifted = AdditiveCode.from_words(code.alpha, code.beta, packed, max_words=budget)
+    lifted = gray_preimage(span, code.alpha, code.beta, budget) if lift else None
     return SpanResult(span.dim, span, lifted)
+
+
+def gray_preimage(
+    span: BinaryCode, alpha: int, beta: int, max_words: int = DEFAULT_MAX_WORDS
+) -> AdditiveCode:
+    """The words of Z2^alpha x Z4^beta whose Gray images lie in ``span``.
+
+    Enumerates ``span``, so it is guarded by ``max_words``; raises
+    ``ValueError`` if the preimage is not additively closed.
+    """
+    if span.size > max_words:
+        raise SizeGuardError(
+            f"Gray span has {span.size} words, above the {max_words} budget",
+            predicted=span.size,
+        )
+    packed = ungray_array(span.words(max_words=max_words), alpha, beta)
+    return AdditiveCode.from_words(alpha, beta, packed, max_words=max_words)
 
 
 def is_gray_linear_bruteforce(code: AdditiveCode, exhaustive: bool = False) -> bool:

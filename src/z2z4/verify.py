@@ -11,6 +11,7 @@ reported as flagged rather than asserted.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
@@ -23,8 +24,10 @@ from .code import (
     BinaryCode,
     Word,
     _add_word,
+    _isin_sorted,
     _split,
     gray_array,
+    gray_preimage,
     is_gray_linear_bruteforce,
     kernel_bruteforce,
     product_code,
@@ -101,11 +104,21 @@ def _log2(n: int) -> int:
 
 
 def _first_difference(a: AdditiveCode, b: AdditiveCode) -> str:
-    gap = np.setxor1d(a.words(), b.words())
-    if len(gap) == 0:
+    """Witness text: the smallest packed word in exactly one of the codes."""
+    wa, wb = a.words(), b.words()
+    if np.array_equal(wa, wb):
         return "codes are equal"
-    w = Word.from_packed(int(gap[0]), a.alpha, a.beta)
+    only = [x for x in (wa[~_isin_sorted(wb, wa)], wb[~_isin_sorted(wa, wb)]) if len(x)]
+    w = Word.from_packed(int(min(x[0] for x in only)), a.alpha, a.beta)
     return f"word {w}"
+
+
+def _meet(codes) -> np.ndarray:
+    """Sorted packed words common to every code in ``codes``."""
+    meet = codes[0].words()
+    for c in codes[1:]:
+        meet = meet[_isin_sorted(c.words(), meet)]
+    return meet
 
 
 def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 4096) -> bool:
@@ -142,10 +155,13 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
     skipped: list[str] = []
     witness: str | None = None
 
-    def add(name: str, ok: bool, note: str | None = None) -> None:
+    def add(name: str, ok: bool, note: str | Callable[[], str] | None = None) -> None:
+        # a callable note is only built for the witness of a failed check
         nonlocal witness
         checks.append((name, ok))
         if not ok and witness is None:
+            if callable(note):
+                note = note()
             witness = f"{name}: {note}" if note else name
 
     t = type_from_degrees(spec)
@@ -180,7 +196,7 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
 
     # kernel
     kcode = materialize(kres.spec, max_words=max_words)
-    add("kernel-set", kcode == koracle, _first_difference(kcode, koracle))
+    add("kernel-set", kcode == koracle, lambda: _first_difference(kcode, koracle))
     add("kernel-dim", kres.dimension == kdim_oracle,
         f"closed {kres.dimension}, oracle {kdim_oracle}")
     add("kernel-cyclic", koracle.is_cyclic())
@@ -191,9 +207,7 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
 
     subcodes = [materialize(linear_subcode_spec(spec, k), max_words=max_words)
                 for k in kres.minimal_divisors]
-    meet = subcodes[0].words()
-    for sub in subcodes[1:]:
-        meet = np.intersect1d(meet, sub.words())
+    meet = _meet(subcodes)
     add("kernel-intersection", len(meet) == koracle.size
         and bool(np.array_equal(meet, koracle.words())))
     add("maximal-subcodes-linear",
@@ -236,19 +250,21 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
         f"closed {rres.rank}, oracle {sres.rank}")
     add("rank-candidates", rres.rank in rank_candidates(t),
         f"rank {rres.rank} not among {rank_candidates(t)}")
-    ry = span_bruteforce(cy, lift=False).rank
+    yres = span_bruteforce(cy, lift=False)
+    ry = yres.rank
     add("rank-lower-bound", sres.rank >= t.kappa1 + ry)
     rcpy = span_bruteforce(cpy, lift=False).rank
     add("rank-decomposition", sres.rank == t.kappa1 + t.kappa2 + rcpy,
         f"rank {sres.rank} != {t.kappa1} + {t.kappa2} + {rcpy}")
 
     if (1 << sres.rank) <= max_words:
-        lifted = span_bruteforce(code, lift=True, max_words=max_words).lifted
+        # lift the spans already echelonned above instead of redoing them
+        lifted = gray_preimage(sres.binary_span, spec.alpha, spec.beta, max_words)
         rcode = materialize(rres.spec, max_words=max_words)
-        add("rank-set", rcode == lifted, _first_difference(rcode, lifted))
+        add("rank-set", rcode == lifted, lambda: _first_difference(rcode, lifted))
         add("rank-cyclic", lifted.is_cyclic())
         add("code-in-span", code.is_subcode_of(lifted))
-        ylift = span_bruteforce(cy, lift=True, max_words=max_words).lifted
+        ylift = gray_preimage(yres.binary_span, 0, spec.beta, max_words)
         add("span-projection", lifted.project_y() == ylift)
     else:
         skipped.extend(["rank-set", "rank-cyclic", "code-in-span", "span-projection"])
@@ -605,8 +621,7 @@ def _fx_maximal_subcodes() -> tuple[bool, list[str]]:
     _require(kcode == expected, "kernel is not the doubled-generator code")
     subs = [materialize(linear_subcode_spec(spec, k)) for k in kres.minimal_divisors]
     _require(len(subs) == 2, f"{len(subs)} maximal subcodes")
-    meet = np.intersect1d(subs[0].words(), subs[1].words())
-    _require(bool(np.array_equal(meet, kcode.words())),
+    _require(bool(np.array_equal(_meet(subs), kcode.words())),
              "kernel is not the intersection of the maximal subcodes")
     return False, [f"type {t}, minimal divisors of degree 3, k' of degree 6, "
                    f"kernel dim 7"]

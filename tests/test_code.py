@@ -7,7 +7,7 @@ on hand-computable codes.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from z2z4.code import (
     AMBIENT_BIT_LIMIT,
@@ -15,7 +15,10 @@ from z2z4.code import (
     BinaryCode,
     CodeType,
     Word,
+    _isin_sorted,
+    _sorted_unique,
     gray_array,
+    gray_preimage,
     group_basis,
     howell_rows,
     is_gray_linear_bruteforce,
@@ -50,6 +53,23 @@ def word_pairs(draw):
     if a + b == 0:
         b = 1
     return draw(words(a, b)), draw(words(a, b))
+
+
+@st.composite
+def small_codes(draw):
+    """Additive codes from up to four random generators, alpha + 2 beta <= 12."""
+    b = draw(st.integers(0, 6))
+    a = draw(st.integers(0 if b else 1, 12 - 2 * b))
+    gens = draw(st.lists(words(a, b), min_size=1, max_size=4))
+    return AdditiveCode(a, b, gens)
+
+
+# small values force duplicates; the top range has bit 63 set
+u64_lists = st.lists(
+    st.one_of(st.integers(0, 7), st.integers(1 << 63, (1 << 64) - 1),
+              st.integers(0, (1 << 64) - 1)),
+    max_size=40,
+)
 
 
 def test_word_parse_and_str():
@@ -189,6 +209,21 @@ def test_from_words_requires_closure():
         AdditiveCode.from_words(1, 1, np.array([3], dtype=np.uint64))
 
 
+@given(u64_lists, u64_lists)
+@example([], [])
+@example([5], [])
+@example([], [5])
+@example([3, 3, 3, 3], [3])
+@example([(1 << 64) - 1, 1 << 63, 0], [(1 << 64) - 1, (1 << 64) - 1])
+def test_sorted_primitives_match_numpy(xs, ys):
+    a = np.array(xs, dtype=np.uint64)
+    b = np.array(ys, dtype=np.uint64)
+    got = _sorted_unique(a)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, np.unique(a))
+    assert np.array_equal(_isin_sorted(np.unique(b), a), np.isin(a, b))
+
+
 def test_contains_and_membership_mask():
     code = AdditiveCode(2, 3, [Word.parse("11|100"), Word.parse("00|210")])
     for w in (Word.parse("11|100"), Word.parse("00|020"), Word.parse("11|310")):
@@ -271,6 +306,19 @@ def test_kernel_bruteforce_small():
         )
 
 
+@settings(deadline=None)
+@given(small_codes())
+def test_kernel_bruteforce_is_the_definition(code):
+    """Kernel words are exactly the v with 2(v * w) in C for every word w."""
+    ws = [Word.from_packed(int(p), code.alpha, code.beta) for p in code.words()]
+    expected = [v for v in ws if all(code.contains(star2(v, w)) for w in ws)]
+    kernel = kernel_bruteforce(code)
+    assert [int(p) for p in kernel.words()] == sorted(
+        v.u | (v.lo << v.alpha) | (v.hi << (v.alpha + v.beta)) for v in expected
+    )
+    assert kernel == kernel_bruteforce(code, exhaustive=True)
+
+
 def test_linearity_oracle_agrees_with_exhaustive():
     code = _small_mixed_code()
     assert is_gray_linear_bruteforce(code) == is_gray_linear_bruteforce(
@@ -296,8 +344,12 @@ def test_span_bruteforce_contains_and_bounds():
 
 def test_span_rank_without_lift():
     code = _small_mixed_code()
-    assert span_bruteforce(code, lift=False).lifted is None
-    assert span_bruteforce(code, lift=False).rank == span_bruteforce(code).rank
+    res = span_bruteforce(code, lift=False)
+    assert res.lifted is None
+    assert res.rank == span_bruteforce(code).rank
+    assert gray_preimage(res.binary_span, 1, 3) == span_bruteforce(code).lifted
+    with pytest.raises(SizeGuardError):
+        gray_preimage(res.binary_span, 1, 3, max_words=(1 << res.rank) - 1)
 
 
 def test_type_by_counting_matches_structure():

@@ -1,7 +1,10 @@
 """Cross-check harness, sweep driver, and reference fixture suite."""
 
+from collections import Counter
+
 import pytest
 
+from z2z4 import verify
 from z2z4.code import AdditiveCode, Word
 from z2z4.cyclic import cyclic_spec, enumerate_cyclic_specs, kernel_spec, materialize, rank_spec
 from z2z4.gf2 import BinPoly
@@ -90,6 +93,28 @@ def test_first_difference_names_the_smallest_word_of_the_symmetric_difference():
     assert _first_difference(a, b) == _first_difference(b, a) == "word 1|111"
     c = AdditiveCode(1, 3, [Word.parse("0|020")])
     assert _first_difference(b, c) == _first_difference(c, b) == "word 0|200"
+
+
+def test_passing_cross_check_builds_no_witness_and_spans_each_code_once(monkeypatch):
+    counts = {"first_difference": 0}
+    spanned = []  # the codes themselves, so that no id is reused meanwhile
+    real_diff, real_span = verify._first_difference, verify.span_bruteforce
+
+    def counted_diff(a, b):
+        counts["first_difference"] += 1
+        return real_diff(a, b)
+
+    def counted_span(code, *args, **kwargs):
+        spanned.append(code)
+        return real_span(code, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_first_difference", counted_diff)
+    monkeypatch.setattr(verify, "span_bruteforce", counted_span)
+    spec = next(enumerate_cyclic_specs(2, 7, type_filter=(2, 3)))
+    report = cross_check(spec)
+    assert report.passed and not report.skipped
+    assert counts["first_difference"] == 0
+    assert spanned and max(Counter(map(id, spanned)).values()) == 1
 
 
 def test_check_names_are_stable():

@@ -640,11 +640,15 @@ class AdditiveCode:
             raise ValueError("a code must contain the zero word")
         span = np.zeros(1, dtype=np.uint64)
         gens: list[Word] = []
-        while True:
-            missing = arr[~_isin_sorted(span, arr)]
-            if len(missing) == 0:
+        while len(span) < len(arr):
+            # both arrays are sorted, so where they first differ arr holds
+            # its smallest word outside the span, unless the span holds a
+            # word outside arr
+            differs = arr[: len(span)] != span
+            i = int(np.argmax(differs)) if differs.any() else len(span)
+            if i < len(span) and span[i] < arr[i]:
                 break
-            w = Word.from_packed(int(missing[0]), alpha, beta)
+            w = Word.from_packed(int(arr[i]), alpha, beta)
             gens.append(w)
             parts = [span]
             for c in (1, 2, 3):
@@ -652,7 +656,7 @@ class AdditiveCode:
                 if not m.is_zero:
                     parts.append(_add_word(span, m))
             span = _sorted_unique(np.concatenate(parts))
-        if len(span) != len(arr):
+        if not np.array_equal(span, arr):
             raise ValueError("word set is not additively closed")
         code = cls(alpha, beta, gens, max_words=max_words)
         object.__setattr__(code, "_words", arr)
@@ -846,8 +850,8 @@ def kernel_bruteforce(code: AdditiveCode, exhaustive: bool = False) -> AdditiveC
     for wlo in witnesses:
         if wlo:
             passed &= code.membership_mask((residues & _u64(wlo)) << _u64(alpha + beta))
-    keep = _isin_sorted(residues[passed], lo)
-    return AdditiveCode.from_words(alpha, beta, arr[keep], max_words=code.max_words)
+    kept = arr if passed.all() else arr[_isin_sorted(residues[passed], lo)]
+    return AdditiveCode.from_words(alpha, beta, kept, max_words=code.max_words)
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,24 @@ def test_sorted_primitives_match_numpy(xs, ys):
     assert np.array_equal(_isin_sorted(np.unique(b), a), np.isin(a, b))
 
 
+@settings(deadline=None)
+@given(small_codes(), st.data())
+def test_from_words_rebuilds_closed_sets_and_rejects_the_rest(code, data):
+    a, b = code.alpha, code.beta
+    arr = code.words()
+    assert AdditiveCode.from_words(a, b, arr[::-1]) == code
+    drop = data.draw(st.integers(0, len(arr) - 1))
+    extra = data.draw(st.integers(0, (1 << (a + 2 * b)) - 1))
+    for packed in (np.delete(arr, drop), np.append(arr, np.uint64(extra))):
+        # the reference: the group the words generate, enumerated from its basis
+        group = AdditiveCode(a, b, [Word.from_packed(int(p), a, b) for p in packed])
+        if 0 in packed and np.array_equal(group.words(), np.unique(packed)):
+            assert np.array_equal(AdditiveCode.from_words(a, b, packed).words(), group.words())
+        else:
+            with pytest.raises(ValueError):
+                AdditiveCode.from_words(a, b, packed)
+
+
 def test_contains_and_membership_mask():
     code = AdditiveCode(2, 3, [Word.parse("11|100"), Word.parse("00|210")])
     for w in (Word.parse("11|100"), Word.parse("00|020"), Word.parse("11|310")):

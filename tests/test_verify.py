@@ -1,11 +1,12 @@
 """Cross-check harness, sweep driver, and reference fixture suite."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from z2z4 import verify
-from z2z4.code import AdditiveCode, Word
+from z2z4.code import AdditiveCode, Word, kernel_bruteforce
 from z2z4.cyclic import cyclic_spec, enumerate_cyclic_specs, kernel_spec, materialize, rank_spec
 from z2z4.gf2 import BinPoly
 from z2z4.verify import (
@@ -115,6 +116,18 @@ def test_passing_cross_check_builds_no_witness_and_spans_each_code_once(monkeypa
     assert report.passed and not report.skipped
     assert counts["first_difference"] == 0
     assert spanned and max(Counter(map(id, spanned)).values()) == 1
+
+
+def test_failing_set_check_still_names_its_witness_word(monkeypatch):
+    # claim the whole code as its own kernel; the code is not Gray-linear
+    spec = _mixed_3()
+    real = verify.kernel_spec
+    monkeypatch.setattr(verify, "kernel_spec", lambda s: dataclasses.replace(real(s), spec=s))
+    report = cross_check(spec)
+    code = materialize(spec)
+    assert report.failures[0] == "kernel-set"
+    assert report.witness == "kernel-set: " + _first_difference(code, kernel_bruteforce(code))
+    assert report.witness.startswith("kernel-set: word ")
 
 
 def test_check_names_are_stable():

@@ -18,6 +18,9 @@ standard form, binary codes and type counting) goes through
 ``_f2_rref_with_trace``; ``_echelon_uint64`` only pre-reduces numpy mask
 arrays for it.
 
+Set operations on sorted packed arrays (deduplication, membership,
+intersection) go through ``_sorted_unique`` and ``_isin_sorted``.
+
 ``Word``'s bitplane arithmetic is the only Z4 arithmetic: the group
 basis, Howell form, membership and standard form all reduce ``Word``s,
 and coordinate tuples appear only at the edges (parsing, display, the

@@ -19,7 +19,9 @@ standard form, binary codes and type counting) goes through
 arrays for it.
 
 Set operations on sorted packed arrays (deduplication, membership,
-intersection) go through ``_sorted_unique`` and ``_isin_sorted``.
+intersection) go through ``_sorted_unique`` and ``_isin_sorted``, and
+arithmetic on packed word arrays (sums, doubled products) goes through
+``_add_word`` and ``_star2_array``.
 
 ``Word``'s bitplane arithmetic is the only Z4 arithmetic: the group
 basis, Howell form, membership and standard form all reduce ``Word``s,
@@ -235,14 +237,17 @@ def _split(arr: np.ndarray, alpha: int, beta: int):
     return u, lo, hi
 
 
-def _pack(u, lo, hi, alpha: int, beta: int) -> np.ndarray:
-    return u | (lo << _u64(alpha)) | (hi << _u64(alpha + beta))
+def _star2_array(arr: np.ndarray, w: Word) -> np.ndarray:
+    """``star2(v, w)`` for each packed word v of ``arr``: the product of
+    the residues, moved from the ``lo`` plane up to the ``hi`` plane."""
+    return (arr & _u64(w.lo << w.alpha)) << _u64(w.beta)
 
 
 def _add_word(arr: np.ndarray, w: Word) -> np.ndarray:
-    u, lo, hi = _split(arr, w.alpha, w.beta)
-    wu, wlo, whi = _u64(w.u), _u64(w.lo), _u64(w.hi)
-    return _pack(u ^ wu, lo ^ wlo, hi ^ whi ^ (lo & wlo), w.alpha, w.beta)
+    """``v + w`` for each packed word v of ``arr``: XOR of the planes,
+    plus the carry of the residues into ``hi``."""
+    packed = w.u | (w.lo << w.alpha) | (w.hi << (w.alpha + w.beta))
+    return arr ^ _u64(packed) ^ _star2_array(arr, w)
 
 
 def gray_array(arr: np.ndarray, alpha: int, beta: int) -> np.ndarray:
@@ -251,12 +256,10 @@ def gray_array(arr: np.ndarray, alpha: int, beta: int) -> np.ndarray:
 
 
 def ungray_array(bits: np.ndarray, alpha: int, beta: int) -> np.ndarray:
-    mask_a = _u64((1 << alpha) - 1)
-    mask_b = _u64((1 << beta) - 1)
-    u = bits & mask_a
-    hi = (bits >> _u64(alpha)) & mask_b
-    lo = ((bits >> _u64(alpha + beta)) & mask_b) ^ hi
-    return _pack(u, lo, hi, alpha, beta)
+    # a Gray image holds hi where a packed word holds lo, and lo ^ hi
+    # where it holds hi
+    u, hi, lo_hi = _split(bits, alpha, beta)
+    return u | ((lo_hi ^ hi) << _u64(alpha)) | (hi << _u64(alpha + beta))
 
 
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
@@ -843,16 +846,17 @@ def kernel_bruteforce(code: AdditiveCode, exhaustive: bool = False) -> AdditiveC
     """
     arr = code.words()
     alpha, beta = code.alpha, code.beta
-    _, lo, _ = _split(arr, alpha, beta)
+    # the residue plane left in place, so each residue is a packed word
+    lo = arr & _u64(((1 << beta) - 1) << alpha)
     residues = _sorted_unique(lo)
     if exhaustive:
-        witnesses = [int(r) for r in residues]
+        witnesses = [Word.from_packed(int(r), alpha, beta) for r in residues]
     else:
-        witnesses = [w.lo for w in code.basis_words()]
+        witnesses = code.basis_words()
     passed = np.ones(len(residues), dtype=bool)
-    for wlo in witnesses:
-        if wlo:
-            passed &= code.membership_mask((residues & _u64(wlo)) << _u64(alpha + beta))
+    for w in witnesses:
+        if w.lo:
+            passed &= code.membership_mask(_star2_array(residues, w))
     kept = arr if passed.all() else arr[_isin_sorted(residues[passed], lo)]
     return AdditiveCode.from_words(alpha, beta, kept, max_words=code.max_words)
 
@@ -861,23 +865,17 @@ def kernel_bruteforce(code: AdditiveCode, exhaustive: bool = False) -> AdditiveC
 class SpanResult:
     rank: int
     binary_span: BinaryCode
-    lifted: AdditiveCode | None
 
 
-def span_bruteforce(
-    code: AdditiveCode, lift: bool = True, max_words: int | None = None
-) -> SpanResult:
-    """Linear span of the Gray image, plus its preimage as an additive code.
+def span_bruteforce(code: AdditiveCode) -> SpanResult:
+    """Linear span of the Gray image, and its dimension, the rank.
 
     The rank needs no enumeration of the span itself, only of the code;
-    the lifted preimage does, so it is guarded and optional.
+    ``gray_preimage`` lifts the span back when that is wanted.
     """
-    budget = code.max_words if max_words is None else max_words
-    arr = code.words()
-    masks = gray_array(arr, code.alpha, code.beta)
+    masks = gray_array(code.words(), code.alpha, code.beta)
     span = BinaryCode.from_masks(code.alpha + 2 * code.beta, masks)
-    lifted = gray_preimage(span, code.alpha, code.beta, budget) if lift else None
-    return SpanResult(span.dim, span, lifted)
+    return SpanResult(span.dim, span)
 
 
 def gray_preimage(
@@ -905,14 +903,9 @@ def is_gray_linear_bruteforce(code: AdditiveCode, exhaustive: bool = False) -> b
     """
     if exhaustive:
         arr = code.words()
-        alpha, beta = code.alpha, code.beta
-        _, lo, _ = _split(arr, alpha, beta)
         for p in arr:
-            w = Word.from_packed(int(p), alpha, beta)
-            if w.lo == 0:
-                continue
-            star = (lo & _u64(w.lo)) << _u64(alpha + beta)
-            if not bool(np.all(code.membership_mask(star))):
+            w = Word.from_packed(int(p), code.alpha, code.beta)
+            if w.lo and not bool(np.all(code.membership_mask(_star2_array(arr, w)))):
                 return False
         return True
     ws = [w for w in code.basis_words() if w.lo]

@@ -215,7 +215,7 @@ def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
     the middle row carries no doubled contribution from ell.
     """
     a, be = spec.alpha, spec.beta
-    ell_b = order_two_spec(spec).ell
+    ell_b = _ell_for_divisor(spec, spec.g, _mu_bar(spec))
     return (
         poly_word(a, be, spec.b, Q_ZERO),
         poly_word(a, be, spec.ell + ell_b, spec.f * spec.h),
@@ -312,17 +312,12 @@ def kernel_dim_candidates(t: CodeType) -> tuple[int, ...]:
 class RankResult:
     """Span of the Gray image as a cyclic code.
 
-    ``r`` is the factor moved from f to h; ``span_gen`` generates the
-    span of coefficientwise products of the high-order binary code, and
-    ``span_cofactor`` is its part coprime to f, which is what can erode
-    the binary divisor b.
+    ``r`` is the factor moved from f to h.
     """
 
     spec: CyclicSpec
     r: QuatPoly
     rank: int
-    span_gen: BinPoly
-    span_cofactor: BinPoly
 
 
 def rank_spec(spec: CyclicSpec) -> RankResult:
@@ -332,6 +327,8 @@ def rank_spec(spec: CyclicSpec) -> RankResult:
     gt = reduce_mod2(spec.g)
     full = xn_minus_1(beta)
 
+    # the span of coefficientwise products of the high-order binary code;
+    # its part coprime to f is what can erode the binary divisor b
     span_gen = pairwise_product_span((ft * ht) % full, beta)
     rt = gcd2(ft, tensor_square(gt, beta))
     r = hensel_lift(rt, beta)
@@ -354,7 +351,7 @@ def rank_spec(spec: CyclicSpec) -> RankResult:
         spec.alpha, beta, b_r, ell_r, spec.f // r, spec.h * r, spec.g
     )
     rank = (spec.alpha - _deg(b_r)) + (_deg(spec.h) + _deg(r)) + 2 * _deg(spec.g)
-    return RankResult(rspec, r, rank, span_gen, cofactor)
+    return RankResult(rspec, r, rank)
 
 
 def rank_candidates(t: CodeType) -> tuple[int, ...]:

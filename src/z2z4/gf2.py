@@ -16,6 +16,7 @@ from .polytext import format_terms, parse_terms
 
 DEGREE_GUARD_BITS = 1 << 16
 FIELD_EXTENSION_LIMIT = 20
+DIVISOR_COUNT_LIMIT = 1 << 20
 
 
 class _NegInf:
@@ -440,7 +441,7 @@ def pairwise_product_span(p: BinPoly, n: int) -> BinPoly:
     return BinPoly(g)
 
 
-def divisors_of_xn1(alpha: int, limit: int = 1 << 20) -> tuple[BinPoly, ...]:
+def divisors_of_xn1(alpha: int) -> tuple[BinPoly, ...]:
     """All monic divisors of x^alpha + 1 over GF(2), any positive alpha.
 
     With alpha = odd * 2^v, x^alpha + 1 = (x^odd + 1)^(2^v), so divisors
@@ -457,9 +458,9 @@ def divisors_of_xn1(alpha: int, limit: int = 1 << 20) -> tuple[BinPoly, ...]:
     factors = binary_factors(odd)
     mult = 1 << v
     count = (mult + 1) ** len(factors)
-    if count > limit:
+    if count > DIVISOR_COUNT_LIMIT:
         raise SizeGuardError(
-            f"x^{alpha} + 1 has {count} divisors, above the {limit} guard",
+            f"x^{alpha} + 1 has {count} divisors, above the {DIVISOR_COUNT_LIMIT} guard",
             predicted=count,
         )
     divs = [BIN_ONE]

@@ -125,7 +125,9 @@ def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 4096) -> bo
     """Image of v + w + 2(v * w) must be the XOR of the two images.
 
     The sum goes through the real adder with its carry; only the final
-    order-two correction term is a plain high-plane flip.
+    order-two correction term is a plain high-plane flip, written out
+    here rather than taken from ``_star2_array``, which the adder itself
+    uses, so that a wrong carry cannot cancel out of the check.
     """
     arr = code.words()
     alpha, beta = code.alpha, code.beta
@@ -187,7 +189,7 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
     kres = kernel_spec(spec)
     koracle = kernel_bruteforce(code)
     kdim_oracle = _log2(koracle.size)
-    sres = span_bruteforce(code, lift=False)
+    sres = span_bruteforce(code)
     add("linearity", closed_linear == oracle_linear
         == (sres.rank == t.gamma + 2 * t.delta)
         == (kdim_oracle == t.gamma + 2 * t.delta),
@@ -250,15 +252,14 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
         f"closed {rres.rank}, oracle {sres.rank}")
     add("rank-candidates", rres.rank in rank_candidates(t),
         f"rank {rres.rank} not among {rank_candidates(t)}")
-    yres = span_bruteforce(cy, lift=False)
+    yres = span_bruteforce(cy)
     ry = yres.rank
     add("rank-lower-bound", sres.rank >= t.kappa1 + ry)
-    rcpy = span_bruteforce(cpy, lift=False).rank
+    rcpy = span_bruteforce(cpy).rank
     add("rank-decomposition", sres.rank == t.kappa1 + t.kappa2 + rcpy,
         f"rank {sres.rank} != {t.kappa1} + {t.kappa2} + {rcpy}")
 
     if (1 << sres.rank) <= max_words:
-        # lift the spans already echelonned above instead of redoing them
         lifted = gray_preimage(sres.binary_span, spec.alpha, spec.beta, max_words)
         rcode = materialize(rres.spec, max_words=max_words)
         add("rank-set", rcode == lifted, lambda: _first_difference(rcode, lifted))
@@ -658,7 +659,7 @@ def _fx_rank_erosion() -> tuple[bool, list[str]]:
     _require(rres.spec.ell == BinPoly.parse("0"), f"ell_r = {rres.spec.ell}")
     _require(rres.rank == 16, f"rank {rres.rank}")
     code = materialize(spec)
-    lifted = span_bruteforce(code).lifted
+    lifted = gray_preimage(span_bruteforce(code).binary_span, 3, 7)
     _require(materialize(rres.spec) == lifted, "span preimage mismatch")
     expected = AdditiveCode(3, 7, [
         Word.parse("100|0000000"), Word.parse("010|0000000"),
@@ -683,7 +684,7 @@ def _fx_hensel_lift() -> tuple[bool, list[str]]:
     _require(rres.spec.ell == BinPoly.parse("0"), f"ell_r = {rres.spec.ell}")
     _require(rres.rank == 24, f"rank {rres.rank}")
     code = materialize(spec)
-    _require(span_bruteforce(code, lift=False).rank == 24, "oracle rank disagrees")
+    _require(span_bruteforce(code).rank == 24, "oracle rank disagrees")
     return False, [f"lift of x^4 + x + 1 at length 15 is ({target}); "
                    f"r = f and the rank is 24"]
 
@@ -694,17 +695,17 @@ def _fx_non_cyclic() -> tuple[bool, list[str]]:
     _require(not code.is_cyclic(), "the five-row code should not be cyclic")
     t = code.code_type()
     _require(t.kappa1 == 2, f"kappa1 = {t.kappa1}")
-    rank = span_bruteforce(code, lift=False).rank
+    rank = span_bruteforce(code).rank
     _require(rank == 8, f"rank {rank}")
     cy = code.project_y()
     _require(is_gray_linear_bruteforce(cy), "the projection should be linear")
     _require(not is_gray_linear_bruteforce(code), "the code should not be linear")
-    ry = span_bruteforce(cy, lift=False).rank
+    ry = span_bruteforce(cy).rank
     _require(ry == 5, f"projection rank {ry}")
     _require(rank > t.kappa1 + ry, "strict gap expected")
     sf = standard_form(code)
     cprime = AdditiveCode(3, 3, sf.c_prime_words())
-    rcpy = span_bruteforce(cprime.project_y(), lift=False).rank
+    rcpy = span_bruteforce(cprime.project_y()).rank
     _require(rank == t.kappa1 + t.kappa2 + rcpy, "decomposition mismatch")
     return False, [f"rank 8 = 2 + 1 + 5 while the projection alone has rank 5"]
 
@@ -717,9 +718,10 @@ def _fx_printed_rank_erratum() -> tuple[bool, list[str]]:
     _require(rres.r == spec.f, f"r = {rres.r} should equal f")
     _require(rres.rank == 15, f"rank {rres.rank}")
     code = materialize(spec)
-    lifted = span_bruteforce(code).lifted
+    sres = span_bruteforce(code)
+    lifted = gray_preimage(sres.binary_span, 3, 7)
     _require(materialize(rres.spec) == lifted, "span preimage mismatch")
-    _require(span_bruteforce(code, lift=False).rank == 15, "oracle rank disagrees")
+    _require(sres.rank == 15, "oracle rank disagrees")
     printed = cyclic_spec(3, 7, BinPoly.parse("1"), BinPoly.parse("0"),
                           QuatPoly.parse("1"), X_MINUS_1, P3 * Q3)
     _require(materialize(printed) != lifted,

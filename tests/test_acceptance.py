@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import acceptance
-from z2z4.code import AdditiveCode, Word, kernel_bruteforce, span_bruteforce
+from z2z4.code import AdditiveCode, Word, gray_preimage, kernel_bruteforce, span_bruteforce
 from z2z4.cyclic import (
     cyclic_spec,
     enumerate_cyclic_specs,
@@ -169,7 +169,7 @@ def test_mixing_erodes_the_binary_divisor_from_the_span():
         assert rres.spec.ell == BinPoly.parse("0")
         assert rres.r == QuatPoly((1,))
         assert rres.rank == 16
-        lifted = span_bruteforce(materialize(spec)).lifted
+        lifted = gray_preimage(span_bruteforce(materialize(spec)).binary_span, 3, 7)
         assert materialize(rres.spec) == lifted
         expected = AdditiveCode(3, 7, [
             Word.parse("100|0000000"),
@@ -190,9 +190,9 @@ def test_five_row_non_cyclic_rank_decomposition():
         assert not code.is_cyclic()
         t = code.code_type()
         assert t.kappa1 == 2
-        rank = span_bruteforce(code, lift=False).rank
+        rank = span_bruteforce(code).rank
         assert rank == 8
-        proj_rank = span_bruteforce(code.project_y(), lift=False).rank
+        proj_rank = span_bruteforce(code.project_y()).rank
         assert proj_rank == 5
         assert rank > t.kappa1 + proj_rank
         assert time.perf_counter() - start < 1.0

@@ -15,8 +15,10 @@ from z2z4.code import (
     BinaryCode,
     CodeType,
     Word,
+    _add_word,
     _isin_sorted,
     _sorted_unique,
+    _star2_array,
     gray_array,
     gray_preimage,
     group_basis,
@@ -160,14 +162,34 @@ def test_word_arithmetic_matches_coordinates(pair, c):
         assert got == Word.from_vectors(xs, ys)
 
 
-def test_gray_array_matches_scalar():
-    alpha, beta = 3, 4
-    packed = np.arange(1 << (alpha + 2 * beta), dtype=np.uint64)
-    masks = gray_array(packed, alpha, beta)
-    for p in (0, 1, 17, 500, (1 << 11) - 1):
-        w = Word.from_packed(p, alpha, beta)
-        assert int(masks[p]) == w.gray
-    assert np.array_equal(ungray_array(masks, alpha, beta), packed)
+@st.composite
+def packed_arrays(draw):
+    """(alpha, beta, packed words, w): up to 20 words, alpha + 2 beta <= 62."""
+    beta = draw(st.integers(0, AMBIENT_BIT_LIMIT // 2))
+    alpha = draw(st.integers(0 if beta else 1, AMBIENT_BIT_LIMIT - 2 * beta))
+    packed = draw(st.lists(st.integers(0, (1 << (alpha + 2 * beta)) - 1), max_size=20))
+    return alpha, beta, packed, draw(words(alpha, beta))
+
+
+def _packed(w: Word) -> int:
+    return w.u | (w.lo << w.alpha) | (w.hi << (w.alpha + w.beta))
+
+
+@given(packed_arrays())
+@example((3, 4, list(range(1 << 11)), Word.parse("101|3120")))
+@example((2, 30, [0, (1 << 62) - 1, 1 << 61, (1 << 32) - 1, 0x2AAAAAAAAAAAAAAA],
+          Word(2, 30, 3, (1 << 30) - 1, 1 << 29)))
+def test_packed_arrays_match_words(case):
+    alpha, beta, packed, w = case
+    arr = np.array(packed, dtype=np.uint64)
+    sums, stars = _add_word(arr, w), _star2_array(arr, w)
+    masks = gray_array(arr, alpha, beta)
+    for i, p in enumerate(packed):
+        v = Word.from_packed(p, alpha, beta)
+        assert int(sums[i]) == _packed(v + w)
+        assert int(stars[i]) == _packed(star2(v, w))
+        assert int(masks[i]) == v.gray
+    assert np.array_equal(ungray_array(masks, alpha, beta), arr)
 
 
 def test_ambient_guard():
@@ -352,8 +374,7 @@ def test_span_bruteforce_contains_and_bounds():
     res = span_bruteforce(code)
     t = code.code_type()
     assert t.gamma + 2 * t.delta <= res.rank
-    assert res.lifted is not None
-    assert code.is_subcode_of(res.lifted)
+    assert code.is_subcode_of(gray_preimage(res.binary_span, 1, 3))
     grays = set(int(m) for m in gray_array(code.words(), 1, 3))
     span_words = set(int(m) for m in res.binary_span.words())
     assert grays <= span_words
@@ -362,10 +383,8 @@ def test_span_bruteforce_contains_and_bounds():
 
 def test_span_rank_without_lift():
     code = _small_mixed_code()
-    res = span_bruteforce(code, lift=False)
-    assert res.lifted is None
-    assert res.rank == span_bruteforce(code).rank
-    assert gray_preimage(res.binary_span, 1, 3) == span_bruteforce(code).lifted
+    res = span_bruteforce(code)
+    assert res.rank == res.binary_span.dim
     with pytest.raises(SizeGuardError):
         gray_preimage(res.binary_span, 1, 3, max_words=(1 << res.rank) - 1)
 

@@ -12,6 +12,7 @@ from z2z4.code import (
     Word,
     is_gray_linear_bruteforce,
     kernel_bruteforce,
+    gray_preimage,
     span_bruteforce,
 )
 from z2z4.cyclic import (
@@ -157,7 +158,7 @@ def test_rank_closed_form_small():
     res = rank_spec(_mixed_3())
     assert res.rank == 6
     assert res.r == Q_ONE
-    lifted = span_bruteforce(materialize(_mixed_3())).lifted
+    lifted = gray_preimage(span_bruteforce(materialize(_mixed_3())).binary_span, 1, 3)
     assert materialize(res.spec) == lifted
 
 

@@ -385,6 +385,7 @@ def test_span_rank_without_lift():
     code = _small_mixed_code()
     res = span_bruteforce(code)
     assert res.rank == res.binary_span.dim
+    assert gray_preimage(res.binary_span, 1, 3).size == 1 << res.rank
     with pytest.raises(SizeGuardError):
         gray_preimage(res.binary_span, 1, 3, max_words=(1 << res.rank) - 1)
 

@@ -6,7 +6,8 @@ Commands: ``factor``, ``analyze``, ``enumerate``, ``search``,
 ``--max-size`` (word-count budget for enumeration), and
 ``search --verify`` takes ``--workers`` (default 1); ``search`` without
 ``--verify`` rejects both.  Exit codes: 0 success, 1 a check or fixture
-failed, 2 invalid input, 3 a resource guard tripped.
+failed, 2 invalid input, 3 a resource guard tripped, 4 an internal error
+(any other exception; its traceback goes to stderr).
 
 Polynomial arguments use the shared text grammar (``3 + x + 2x^2``);
 binary and quaternary positions are fixed per argument, never inferred
@@ -18,6 +19,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 
 from .code import DEFAULT_MAX_WORDS, Word, gray_array
 from .cyclic import (
@@ -56,6 +58,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 def _odd_int(text: str) -> int:
@@ -433,6 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

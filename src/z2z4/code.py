@@ -9,9 +9,11 @@ oracles stay exact while handling millions of words.
 
 Structure never comes from enumeration: ``group_basis`` extracts a
 basis split into order-4 and order-2 rows by exact elimination over the
-mixed alphabet, and ``howell_rows`` gives a canonical matrix used for
-equality tests.  Enumeration is only used by the brute-force oracles,
-guarded by ``max_words``.
+mixed alphabet; that basis is canonical, so it is also the identity of a
+code (``AdditiveCode.__eq__``/``__hash__``).  ``howell_rows`` is an
+independent canonical form, kept as a reference for that identity.
+Enumeration is only used by the brute-force oracles, guarded by
+``max_words``.
 
 Every GF(2) elimination (the order-2 stage of ``group_basis``, the
 standard form, binary codes and type counting) goes through
@@ -21,7 +23,8 @@ arrays for it.
 Set operations on sorted packed arrays (deduplication, membership,
 intersection) go through ``_sorted_unique`` and ``_isin_sorted``, and
 arithmetic on packed word arrays (sums, doubled products) goes through
-``_add_word`` and ``_star2_array``.
+``_add_word`` and ``_star2_array``.  Enumeration grows a word array one
+generator at a time with ``_cosets``.
 
 ``Word``'s bitplane arithmetic is the only Z4 arithmetic: the group
 basis, Howell form, membership and standard form all reduce ``Word``s,
@@ -250,6 +253,11 @@ def _add_word(arr: np.ndarray, w: Word) -> np.ndarray:
     return arr ^ _u64(packed) ^ _star2_array(arr, w)
 
 
+def _cosets(arr: np.ndarray, w: Word) -> np.ndarray:
+    """``arr`` followed by ``arr + c*w`` for each 1 <= c < order(w)."""
+    return np.concatenate([arr] + [_add_word(arr, w * c) for c in range(1, w.order())])
+
+
 def gray_array(arr: np.ndarray, alpha: int, beta: int) -> np.ndarray:
     u, lo, hi = _split(arr, alpha, beta)
     return u | (hi << _u64(alpha)) | ((lo ^ hi) << _u64(alpha + beta))
@@ -372,6 +380,16 @@ class GroupBasis:
     right to left, where the pivot value is 2).  Every word has a unique
     coefficient vector over this basis, so the group order is exactly
     4^delta * 2^gamma.
+
+    The basis depends only on the group, not on its generators, which is
+    why it serves as the identity of an ``AdditiveCode``.  Scanning right
+    to left, the order-4 pivots are the leading positions of the residue
+    code, and each order-4 row's residue is the unique residue-code word
+    that is 1 at its own pivot and 0 at the other pivots.  What is left
+    free in each order-4 row is an order-2 word that is 0 at every
+    order-4 pivot; those words form the space T' spanned by the residual
+    rows.  ``words2`` is the RREF of T', and the final tidy step reduces
+    each order-4 row to its unique normal form against ``words2``.
     """
 
     alpha: int
@@ -569,15 +587,6 @@ class BinaryCode:
     def size(self) -> int:
         return 1 << self.dim
 
-    def contains(self, mask: int) -> bool:
-        for b in self.basis:
-            if mask & (b & -b):
-                mask ^= b
-        return mask == 0
-
-    def is_subcode_of(self, other: "BinaryCode") -> bool:
-        return all(other.contains(b) for b in self.basis)
-
     def words(self, max_words: int = DEFAULT_MAX_WORDS) -> np.ndarray:
         if self.size > max_words:
             raise SizeGuardError(
@@ -590,24 +599,19 @@ class BinaryCode:
         arr.sort()
         return arr
 
-    def is_cyclic(self) -> bool:
-        n = self.length
-        full = (1 << n) - 1
-        for b in self.basis:
-            r = ((b << 1) | (b >> (n - 1))) & full if n > 1 else b
-            if not self.contains(r):
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # additive codes
 
 
 class AdditiveCode:
-    """An additive subgroup of Z2^alpha x Z4^beta."""
+    """An additive subgroup of Z2^alpha x Z4^beta.
 
-    __slots__ = ("alpha", "beta", "generators", "max_words", "_gb", "_words", "_howell")
+    Two codes are equal iff they share an ambient space and a group
+    basis; the basis is canonical (see ``GroupBasis``).
+    """
+
+    __slots__ = ("alpha", "beta", "generators", "max_words", "_gb", "_words")
 
     def __init__(self, alpha: int, beta: int, generators, max_words: int = DEFAULT_MAX_WORDS):
         if alpha < 0 or beta < 0 or alpha + beta == 0:
@@ -627,7 +631,6 @@ class AdditiveCode:
         object.__setattr__(self, "max_words", max_words)
         object.__setattr__(self, "_gb", None)
         object.__setattr__(self, "_words", None)
-        object.__setattr__(self, "_howell", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AdditiveCode is immutable; use constructors")
@@ -656,12 +659,7 @@ class AdditiveCode:
                 break
             w = Word.from_packed(int(arr[i]), alpha, beta)
             gens.append(w)
-            parts = [span]
-            for c in (1, 2, 3):
-                m = w * c
-                if not m.is_zero:
-                    parts.append(_add_word(span, m))
-            span = _sorted_unique(np.concatenate(parts))
+            span = _sorted_unique(_cosets(span, w))
         if not np.array_equal(span, arr):
             raise ValueError("word set is not additively closed")
         code = cls(alpha, beta, gens, max_words=max_words)
@@ -691,12 +689,8 @@ class AdditiveCode:
                     predicted=gb.size,
                 )
             arr = np.zeros(1, dtype=np.uint64)
-            for w in gb.words4:
-                arr = np.concatenate(
-                    [arr, _add_word(arr, w), _add_word(arr, w * 2), _add_word(arr, w * 3)]
-                )
-            for w in gb.words2:
-                arr = np.concatenate([arr, _add_word(arr, w)])
+            for w in self.basis_words():
+                arr = _cosets(arr, w)
             arr.sort()
             if len(arr) != gb.size:
                 raise AssertionError("enumeration does not match the basis order")
@@ -721,23 +715,14 @@ class AdditiveCode:
     def membership_mask(self, packed: np.ndarray) -> np.ndarray:
         return _isin_sorted(self.words(), packed)
 
-    def howell(self) -> tuple[tuple[int, ...], ...]:
-        if self._howell is None:
-            object.__setattr__(
-                self, "_howell", howell_rows(self.alpha, self.beta, self.generators)
-            )
-        return self._howell
+    def _identity(self) -> tuple:
+        return (self.alpha, self.beta, self.basis.words4, self.basis.words2)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AdditiveCode)
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-            and self.howell() == other.howell()
-        )
+        return isinstance(other, AdditiveCode) and self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash((self.alpha, self.beta, self.howell()))
+        return hash(self._identity())
 
     def is_subcode_of(self, other: "AdditiveCode") -> bool:
         return all(other.contains(w) for w in self.basis_words())
@@ -835,26 +820,22 @@ def type_by_counting(code: AdditiveCode) -> CodeType:
 # brute-force oracles
 
 
-def kernel_bruteforce(code: AdditiveCode, exhaustive: bool = False) -> AdditiveCode:
+def kernel_bruteforce(code: AdditiveCode) -> AdditiveCode:
     """Words v with Phi(v) + Phi(C) inside Phi(C), found by enumeration.
 
     v qualifies iff 2(v * w) lands in the code for every word w; by
-    bilinearity it is enough to range w over the basis rows unless
-    ``exhaustive`` insists on all words.  2(v * w) depends on v and w
-    only through their residues mod 2, so each distinct residue of the
-    words is tested once, against the residue of each w.
+    bilinearity it is enough to range w over the basis rows.  2(v * w)
+    depends on v and w only through their residues mod 2, so each
+    distinct residue of the words is tested once, against the residue
+    of each basis row.
     """
     arr = code.words()
     alpha, beta = code.alpha, code.beta
     # the residue plane left in place, so each residue is a packed word
     lo = arr & _u64(((1 << beta) - 1) << alpha)
     residues = _sorted_unique(lo)
-    if exhaustive:
-        witnesses = [Word.from_packed(int(r), alpha, beta) for r in residues]
-    else:
-        witnesses = code.basis_words()
     passed = np.ones(len(residues), dtype=bool)
-    for w in witnesses:
+    for w in code.basis_words():
         if w.lo:
             passed &= code.membership_mask(_star2_array(residues, w))
     kept = arr if passed.all() else arr[_isin_sorted(residues[passed], lo)]
@@ -895,19 +876,12 @@ def gray_preimage(
     return AdditiveCode.from_words(alpha, beta, packed, max_words=max_words)
 
 
-def is_gray_linear_bruteforce(code: AdditiveCode, exhaustive: bool = False) -> bool:
+def is_gray_linear_bruteforce(code: AdditiveCode) -> bool:
     """Whether the Gray image is a linear code.
 
     Linearity is equivalent to closure under the doubled coordinatewise
     products, and bilinearity again reduces the check to basis pairs.
     """
-    if exhaustive:
-        arr = code.words()
-        for p in arr:
-            w = Word.from_packed(int(p), code.alpha, code.beta)
-            if w.lo and not bool(np.all(code.membership_mask(_star2_array(arr, w)))):
-                return False
-        return True
     ws = [w for w in code.basis_words() if w.lo]
     for i, v in enumerate(ws):
         for w in ws[i:]:

@@ -66,6 +66,17 @@ def test_factor_guard_exit(capsys):
     assert "error:" in err
 
 
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken(spec):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(cli, "kernel_spec", broken)
+    rc, out, err = _run(capsys, ["analyze", *F2_FLAGS])
+    assert rc == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "Traceback" in err and "AssertionError: broken invariant" in err
+
+
 def test_analyze_json(capsys):
     rc, out, _ = _run(capsys, ["analyze", *F2_FLAGS, "--format", "json"])
     assert rc == 0

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from z2z4.code import AdditiveCode, Word, standard_form, type_by_counting
+from z2z4.code import AdditiveCode, Word, howell_rows, standard_form, type_by_counting
 from z2z4.cyclic import enumerate_cyclic_specs, materialize
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "structure.json"
@@ -47,7 +47,7 @@ def _structure(code: AdditiveCode) -> tuple:
         sf.kappa1_rows, sf.kappa2_rows, sf.even_rows, sf.quaternary_rows,
         sf.x_order, sf.y_order,
         repr(code.code_type()), code.project_x().basis, repr(counted),
-        code.howell(), tuple(code.contains(w) for w in _probes(code)),
+        howell_rows(code.alpha, code.beta, code.generators), tuple(code.contains(w) for w in _probes(code)),
     )
 
 

@@ -15,9 +15,18 @@ both the attainable rank bound and exhaustive enumeration (it predicts
 12 where the true rank is 11 on a two-block length-(2,7) code).  The
 correct divisor needs the span of coefficientwise products of the
 high-order binary code, computed exactly by ``pairwise_product_span``.
+
+The closed forms lean on the per-length facts that ``gf2`` and ``z4``
+memoise (tensor squares, product spans, divisor lattices).  Here only
+the factorization test f h g = x^beta - 1 in ``validate`` is memoised,
+keyed by (f, h, g, beta): enumerated specs draw f, h and g from the
+3^t ways to share t basic factors, so the key space is bounded per
+length, not per spec.  Whole results (``kernel_spec``, ``rank_spec``,
+``validate``) are not cached; their key space grows with the specs.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .code import DEFAULT_MAX_WORDS, AdditiveCode, CodeType, Word, _coords_to_word
@@ -73,6 +82,12 @@ def _deg(p) -> int:
     return d
 
 
+@lru_cache(maxsize=None)
+def _factors_xn1(f: QuatPoly, h: QuatPoly, g: QuatPoly, beta: int) -> bool:
+    """Whether f h g = x^beta - 1 over Z4 exactly."""
+    return f * h * g == xn_minus_1_z4(beta)
+
+
 def validate(spec: CyclicSpec) -> None:
     """Check every structural requirement, raising SpecError on the first failure.
 
@@ -89,7 +104,7 @@ def validate(spec: CyclicSpec) -> None:
     for name, p in (("f", spec.f), ("h", spec.h), ("g", spec.g)):
         if not p.is_monic:
             raise SpecError("monic-factors", f"{name} must be monic, got {p}")
-    if spec.f * spec.h * spec.g != xn_minus_1_z4(spec.beta):
+    if not _factors_xn1(spec.f, spec.h, spec.g, spec.beta):
         raise SpecError(
             "factorization", f"f h g must equal x^{spec.beta} - 1 over Z4 exactly"
         )
@@ -248,7 +263,8 @@ def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
 def _divisor_qualifies(spec: CyclicSpec, k: QuatPoly) -> bool:
     """Whether moving k out of g leaves a subcode with linear image."""
     ft = reduce_mod2(spec.f)
-    q = reduce_mod2(spec.g // k)
+    # reduction mod 2 is a ring map and k divides g, so this is (g / k) mod 2
+    q = reduce_mod2(spec.g) // reduce_mod2(k)
     shrunk = (ft * spec.b) // gcd2(spec.b, spec.ell * q)
     return gcd2(shrunk, tensor_square(q, spec.beta)).is_one
 

@@ -6,6 +6,16 @@ field machinery used to factor ``x^n - 1`` for odd ``n``: cyclotomic
 cosets, a primitive element of GF(2^m) with ``m = ord_2(n)``, and the
 per-coset irreducible factors.  Everything downstream (tensor squares,
 coefficientwise product spans) reduces to this factorization.
+
+Per-length facts are computed once per process: the factor tables
+(``cyclotomic_cosets``, ``build_field``, ``factor_xn1_gf2``) and, for a
+divisor p of x^n + 1, ``tensor_square(p, n)`` and
+``pairwise_product_span(p, n)``.  The closed forms only ever pass
+divisors of x^n + 1, so each length has at most 2^(number of
+cyclotomic cosets of n) keys: 32 at n = 15, 64 at n = 21.  Nothing the
+factor tables call is memoised, so clearing the three table caches
+(as ``bench/run.py`` does before it times factoring) makes factoring
+cold again.
 """
 
 from dataclasses import dataclass
@@ -72,12 +82,13 @@ def _mul2(a: int, b: int) -> int:
 def _divmod2(a: int, b: int) -> tuple[int, int]:
     if b == 0:
         raise ZeroDivisionError("binary polynomial division by zero")
-    db = _deg(b)
+    db = b.bit_length()
     q = 0
-    while a and _deg(a) >= db:
-        shift = _deg(a) - db
+    shift = a.bit_length() - db
+    while shift >= 0:
         q |= 1 << shift
         a ^= b << shift
+        shift = a.bit_length() - db
     return q, a
 
 
@@ -405,6 +416,7 @@ def root_exponents(p: BinPoly, n: int) -> frozenset[int]:
     return frozenset(s)
 
 
+@lru_cache(maxsize=None)
 def tensor_square(p: BinPoly, n: int) -> BinPoly:
     """Divisor of x^n + 1 whose roots are all products of two roots of p.
 
@@ -420,6 +432,7 @@ def tensor_square(p: BinPoly, n: int) -> BinPoly:
     return out
 
 
+@lru_cache(maxsize=None)
 def pairwise_product_span(p: BinPoly, n: int) -> BinPoly:
     """Generator of the span of coefficientwise products from the code of p.
 

@@ -6,6 +6,13 @@ divisor, which every monic polynomial has.  For odd n, x^n - 1 factors
 over Z4 into the Hensel lifts of the binary coset factors; those lifts
 are computed exactly by the Graeffe root-squaring step, never by
 floating point or iteration to convergence.
+
+``factor_xn1_z4`` and, for a monic divisor g of x^n - 1,
+``monic_divisors(g, n)`` and ``_factor_subset(g, n)`` are computed once
+per process; a length has at most 2^(number of basic factors) such g.
+``hensel_lift`` is not memoised: ``factor_xn1_z4`` calls it, and a cache
+below the factor table would keep factoring warm after that table's
+cache is cleared (``bench/run.py`` clears it to time cold factoring).
 """
 
 from dataclasses import dataclass
@@ -218,6 +225,7 @@ def quat_factors(n: int) -> tuple[QuatPoly, ...]:
     return tuple(q for _, q in factor_xn1_z4(n))
 
 
+@lru_cache(maxsize=None)
 def _factor_subset(p: QuatPoly, n: int) -> tuple[QuatPoly, ...]:
     """Write a monic divisor of x^n - 1 as its set of basic factors."""
     found = []
@@ -231,6 +239,7 @@ def _factor_subset(p: QuatPoly, n: int) -> tuple[QuatPoly, ...]:
     return tuple(found)
 
 
+@lru_cache(maxsize=None)
 def monic_divisors(g: QuatPoly, n: int) -> tuple[QuatPoly, ...]:
     """All monic divisors of g inside x^n - 1, sorted by (degree, coeffs)."""
     parts = _factor_subset(g, n)

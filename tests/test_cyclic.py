@@ -63,6 +63,16 @@ def test_validate_rejects_wrong_factorization():
         cyclic_spec(1, 3, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, Q_ONE)
 
 
+def test_factorization_check_survives_a_warm_cache():
+    # the valid triple fills the cached factorization test at beta = 7;
+    # a bad triple there, and the same triple at another length, still fail
+    cyclic_spec(1, 7, BIN_ONE, BIN_ZERO, XM1, P3, Q3)
+    with pytest.raises(SpecError, match="factorization"):
+        cyclic_spec(1, 7, BIN_ONE, BIN_ZERO, XM1, P3, P3)
+    with pytest.raises(SpecError, match="factorization"):
+        cyclic_spec(1, 9, BIN_ONE, BIN_ZERO, XM1, P3, Q3)
+
+
 def test_validate_rejects_bad_binary_divisor():
     with pytest.raises(SpecError, match="b-divides"):
         cyclic_spec(2, 3, BinPoly.parse("x^2 + x + 1"), BIN_ZERO,

@@ -174,6 +174,14 @@ def test_tensor_square_roots(n):
         assert root_exponents(tensor_square(p, n), n) == expected
 
 
+@pytest.mark.parametrize("n", range(1, 22, 2))
+def test_memoised_products_equal_their_originals(n):
+    for p in divisors_of_xn1(n):
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert tensor_square(p, n) == tensor_square.__wrapped__(p, n)
+            assert pairwise_product_span(p, n) == pairwise_product_span.__wrapped__(p, n)
+
+
 def test_pairwise_product_span_erodes():
     # rotations of x + 1 overlap in single monomials, so the span of
     # their coefficientwise products is the whole ambient space

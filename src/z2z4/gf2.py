@@ -12,10 +12,10 @@ Per-length facts are computed once per process: the factor tables
 divisor p of x^n + 1, ``tensor_square(p, n)`` and
 ``pairwise_product_span(p, n)``.  The closed forms only ever pass
 divisors of x^n + 1, so each length has at most 2^(number of
-cyclotomic cosets of n) keys: 32 at n = 15, 64 at n = 21.  Nothing the
-factor tables call is memoised, so clearing the three table caches
-(as ``bench/run.py`` does before it times factoring) makes factoring
-cold again.
+cyclotomic cosets of n) keys: 32 at n = 15, 64 at n = 21.  Factoring
+calls nothing memoised beyond the three tables, so clearing their
+caches (as ``bench/run.py`` does before it times factoring) makes
+factoring cold again.
 """
 
 from dataclasses import dataclass

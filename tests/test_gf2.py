@@ -177,7 +177,7 @@ def test_tensor_square_roots(n):
 @pytest.mark.parametrize("n", range(1, 22, 2))
 def test_memoised_products_equal_their_originals(n):
     for p in divisors_of_xn1(n):
-        for _ in range(2):  # the first call fills the cache, the second reads it
+        for _ in range(2):  # the second call always reads the cache
             assert tensor_square(p, n) == tensor_square.__wrapped__(p, n)
             assert pairwise_product_span(p, n) == pairwise_product_span.__wrapped__(p, n)
 

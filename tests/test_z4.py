@@ -131,15 +131,14 @@ def test_monic_divisors():
 @pytest.mark.parametrize("n", range(1, 22, 2))
 def test_memoised_divisor_tables_equal_their_originals(n):
     for g in monic_divisors(xn_minus_1_z4(n), n):
-        for _ in range(2):  # the first call fills the cache, the second reads it
+        for _ in range(2):  # the second call always reads the cache
             assert monic_divisors(g, n) == monic_divisors.__wrapped__(g, n)
             assert _factor_subset(g, n) == _factor_subset.__wrapped__(g, n)
 
 
 @pytest.mark.parametrize("n", (7, 9, 15, 21))
 def test_quotient_of_divisors_reduces_to_the_binary_quotient(n):
-    divs = monic_divisors(xn_minus_1_z4(n), n)
-    for g in divs:
+    for g in monic_divisors(xn_minus_1_z4(n), n):
         for k in monic_divisors(g, n):
             assert reduce_mod2(g // k) == reduce_mod2(g) // reduce_mod2(k)
 

@@ -107,15 +107,12 @@ def _spec_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args: argparse.Namespace) -> CyclicSpec:
-    return cyclic_spec(
-        args.alpha,
-        args.beta,
-        BinPoly.parse(args.b),
-        BinPoly.parse(args.ell),
-        QuatPoly.parse(args.f),
-        QuatPoly.parse(args.h),
-        QuatPoly.parse(args.g),
-    )
+    try:
+        b, ell = BinPoly.parse(args.b), BinPoly.parse(args.ell)
+        f, h, g = (QuatPoly.parse(t).monic() for t in (args.f, args.h, args.g))
+    except ValueError as exc:
+        raise SpecError("polynomial", str(exc)) from exc
+    return cyclic_spec(args.alpha, args.beta, b, ell, f, h, g)
 
 
 def _nospace(p) -> str:
@@ -293,18 +290,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # search
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise SpecError("type-filter-shape", f"expected integers, got {text!r}") from exc
+
+
 def _parse_type_filter(text: str, alpha: int, beta: int) -> tuple[int, ...]:
     """Accept ``G,D``, ``G,D,K`` or the prefixed ``A,B:G,D[,K]`` form."""
     body = text
     if ":" in text:
         prefix, body = text.split(":", 1)
-        stated = tuple(int(p) for p in prefix.split(","))
+        stated = _int_list(prefix)
         if stated != (alpha, beta):
             raise SpecError(
                 "type-filter-prefix",
                 f"filter names lengths {stated}, search runs at ({alpha}, {beta})",
             )
-    parts = tuple(int(p) for p in body.split(","))
+    parts = _int_list(body)
     if len(parts) not in (2, 3) or any(p < 0 for p in parts):
         raise SpecError(
             "type-filter-shape",
@@ -431,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception:

@@ -498,9 +498,8 @@ def howell_rows(alpha: int, beta: int, generators) -> tuple[tuple[int, ...], ...
 class CodeType:
     """Type parameters (alpha, beta; gamma, delta; kappa) with refinements.
 
-    ``kappa1``/``kappa2`` and ``delta1``/``delta2`` are optional because
-    only some constructions determine them; when present they must be
-    consistent splits.
+    ``kappa1 + kappa2 = kappa`` and ``delta1 + delta2 = delta`` are
+    nonnegative splits of kappa and delta.
     """
 
     alpha: int
@@ -508,31 +507,25 @@ class CodeType:
     gamma: int
     delta: int
     kappa: int
-    kappa1: int | None = None
-    kappa2: int | None = None
-    delta1: int | None = None
-    delta2: int | None = None
+    kappa1: int
+    kappa2: int
+    delta1: int
+    delta2: int
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma, self.delta, self.kappa) < 0:
             raise ValueError("type parameters must be nonnegative")
         if self.kappa > min(self.alpha, self.gamma):
             raise ValueError("kappa exceeds min(alpha, gamma)")
-        if self.alpha == 0 and self.kappa != 0:
-            raise ValueError("kappa must vanish when there is no binary block")
         if self.gamma + self.delta > self.beta + self.kappa:
             raise ValueError("gamma + delta exceeds beta + kappa")
-        if (self.kappa1 is None) != (self.kappa2 is None):
-            raise ValueError("kappa1 and kappa2 must be set together")
-        if self.kappa1 is not None and self.kappa1 + self.kappa2 != self.kappa:
+        if self.kappa1 + self.kappa2 != self.kappa:
             raise ValueError("kappa1 + kappa2 must equal kappa")
-        if self.kappa1 is not None and min(self.kappa1, self.kappa2) < 0:
+        if min(self.kappa1, self.kappa2) < 0:
             raise ValueError("kappa split must be nonnegative")
-        if (self.delta1 is None) != (self.delta2 is None):
-            raise ValueError("delta1 and delta2 must be set together")
-        if self.delta1 is not None and self.delta1 + self.delta2 != self.delta:
+        if self.delta1 + self.delta2 != self.delta:
             raise ValueError("delta1 + delta2 must equal delta")
-        if self.delta1 is not None and min(self.delta1, self.delta2) < 0:
+        if min(self.delta1, self.delta2) < 0:
             raise ValueError("delta split must be nonnegative")
 
     @property
@@ -867,11 +860,6 @@ def gray_preimage(
     Enumerates ``span``, so it is guarded by ``max_words``; raises
     ``ValueError`` if the preimage is not additively closed.
     """
-    if span.size > max_words:
-        raise SizeGuardError(
-            f"Gray span has {span.size} words, above the {max_words} budget",
-            predicted=span.size,
-        )
     packed = ungray_array(span.words(max_words=max_words), alpha, beta)
     return AdditiveCode.from_words(alpha, beta, packed, max_words=max_words)
 

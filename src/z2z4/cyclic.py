@@ -77,7 +77,7 @@ class CyclicSpec:
 
 def _deg(p) -> int:
     d = p.degree
-    if d is None or not isinstance(d, int):
+    if d < 0:
         raise ValueError("zero polynomial has no finite degree here")
     return d
 
@@ -424,44 +424,6 @@ def enumerate_cyclic_specs(alpha: int, beta: int, type_filter=None):
                     if len(type_filter) > 2 and t.kappa != type_filter[2]:
                         continue
                 yield spec
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def _bin_from_json(v) -> BinPoly:
-    if isinstance(v, str):
-        return BinPoly.parse(v)
-    if isinstance(v, dict) and "coeffs" in v:
-        return BinPoly.from_coeffs(v["coeffs"])
-    if isinstance(v, list):
-        return BinPoly.from_coeffs(v)
-    raise ValueError(f"cannot read a binary polynomial from {v!r}")
-
-
-def _quat_from_json(v) -> QuatPoly:
-    if isinstance(v, str):
-        return QuatPoly.parse(v)
-    if isinstance(v, dict) and "coeffs" in v:
-        return QuatPoly(v["coeffs"])
-    if isinstance(v, list):
-        return QuatPoly(v)
-    raise ValueError(f"cannot read a quaternary polynomial from {v!r}")
-
-
-def spec_from_dict(d: dict) -> CyclicSpec:
-    try:
-        alpha = int(d["alpha"])
-        beta = int(d["beta"])
-        b = _bin_from_json(d["b"])
-        ell = _bin_from_json(d["ell"])
-        f = _quat_from_json(d["f"])
-        h = _quat_from_json(d["h"])
-        g = _quat_from_json(d["g"])
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r} in code description") from exc
-    return cyclic_spec(alpha, beta, b, ell, f, h, g)
 
 
 def spec_to_dict(spec: CyclicSpec) -> dict:

@@ -29,42 +29,6 @@ FIELD_EXTENSION_LIMIT = 20
 DIVISOR_COUNT_LIMIT = 1 << 20
 
 
-class _NegInf:
-    """Degree of the zero polynomial.  Compares below every int."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("MINUS_INFINITY")
-
-    def __repr__(self):
-        return "MINUS_INFINITY"
-
-    def __add__(self, other):
-        return self
-
-    def __radd__(self, other):
-        return self
-
-
-MINUS_INFINITY = _NegInf()
-
-
 def _deg(bits: int) -> int:
     # valid only for bits != 0
     return bits.bit_length() - 1
@@ -121,14 +85,6 @@ class BinPoly:
         raise AttributeError("BinPoly is immutable")
 
     @classmethod
-    def from_coeffs(cls, coeffs) -> "BinPoly":
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c % 2:
-                bits |= 1 << i
-        return cls(bits)
-
-    @classmethod
     def parse(cls, text: str) -> "BinPoly":
         terms = parse_terms(text, 2)
         bits = 0
@@ -141,8 +97,9 @@ class BinPoly:
         return cls(1 << e)
 
     @property
-    def degree(self):
-        return MINUS_INFINITY if self.bits == 0 else _deg(self.bits)
+    def degree(self) -> int:
+        """Degree, with -1 for the zero polynomial."""
+        return self.bits.bit_length() - 1
 
     @property
     def is_zero(self) -> bool:

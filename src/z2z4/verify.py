@@ -52,6 +52,7 @@ from .cyclic import (
     rank_candidates,
     rank_spec,
     shift_orbit,
+    spec_to_dict,
     three_generator_words,
     type_from_degrees,
 )
@@ -421,12 +422,7 @@ def sweep_rows_json(summary: SweepSummary) -> list[dict]:
     for row in summary.rows:
         s = row.spec
         t = type_from_degrees(s)
-        d = {
-            "alpha": s.alpha, "beta": s.beta,
-            "b": str(s.b), "ell": str(s.ell),
-            "f": str(s.f), "h": str(s.h), "g": str(s.g),
-            "type": [t.alpha, t.beta, t.gamma, t.delta, t.kappa],
-        }
+        d = {**spec_to_dict(s), "type": [t.alpha, t.beta, t.gamma, t.delta, t.kappa]}
         if row.guarded:
             d["verdict"] = "guarded"
         else:

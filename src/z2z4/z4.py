@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SpecError
-from .gf2 import BinPoly, Coset, MINUS_INFINITY, factor_xn1_gf2, ext_gcd2, xn_minus_1
+from .gf2 import BinPoly, Coset, factor_xn1_gf2, ext_gcd2, xn_minus_1
 from .polytext import format_terms, parse_terms
 
 
@@ -52,8 +52,9 @@ class QuatPoly:
         return cls((0,) * e + (1,))
 
     @property
-    def degree(self):
-        return MINUS_INFINITY if not self.coeffs else len(self.coeffs) - 1
+    def degree(self) -> int:
+        """Degree, with -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:

@@ -77,6 +77,29 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     assert "Traceback" in err and "AssertionError: broken invariant" in err
 
 
+def test_library_value_error_exits_4(monkeypatch, capsys):
+    def broken(spec, max_words):
+        raise ValueError("broken library call")
+
+    monkeypatch.setattr(cli, "cross_check", broken)
+    rc, out, err = _run(capsys, ["analyze", *F2_FLAGS, "--verify"])
+    assert rc == cli.EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" in err and "ValueError: broken library call" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", *F2_FLAGS, "--f", "2x+1"],
+    ["analyze", *F2_FLAGS, "--g", "x^"],
+    ["search", "--alpha", "2", "--beta", "7", "--type", "a,b"],
+], ids=["non-unit-leading-coefficient", "unparsed-polynomial", "type-not-integers"])
+def test_bad_user_text_exits_2(argv, capsys):
+    rc, out, err = _run(capsys, argv)
+    assert rc == cli.EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_analyze_json(capsys):
     rc, out, _ = _run(capsys, ["analyze", *F2_FLAGS, "--format", "json"])
     assert rc == 0

@@ -446,12 +446,21 @@ def test_type_by_counting_matches_structure():
 
 
 def test_code_type_validates():
-    with pytest.raises(ValueError):
-        CodeType(alpha=1, beta=1, gamma=3, delta=0, kappa=2)  # kappa > min
-    with pytest.raises(ValueError):
-        CodeType(alpha=0, beta=3, gamma=1, delta=1, kappa=1)
-    with pytest.raises(ValueError):
-        CodeType(alpha=2, beta=1, gamma=2, delta=1, kappa=1, kappa1=1, kappa2=1)
+    with pytest.raises(ValueError, match="kappa exceeds"):
+        CodeType(alpha=1, beta=1, gamma=3, delta=0, kappa=2,
+                 kappa1=1, kappa2=1, delta1=0, delta2=0)
+    with pytest.raises(ValueError, match="kappa exceeds"):  # no binary block
+        CodeType(alpha=0, beta=3, gamma=1, delta=1, kappa=1,
+                 kappa1=0, kappa2=1, delta1=0, delta2=1)
+    with pytest.raises(ValueError, match="gamma \\+ delta"):
+        CodeType(alpha=2, beta=1, gamma=2, delta=1, kappa=1,
+                 kappa1=1, kappa2=1, delta1=1, delta2=0)
+    with pytest.raises(ValueError, match="kappa1 \\+ kappa2"):
+        CodeType(alpha=2, beta=3, gamma=2, delta=1, kappa=1,
+                 kappa1=1, kappa2=1, delta1=1, delta2=0)
+    with pytest.raises(ValueError, match="delta split"):
+        CodeType(alpha=2, beta=3, gamma=2, delta=1, kappa=1,
+                 kappa1=1, kappa2=0, delta1=2, delta2=-1)
 
 
 def test_standard_form_shape():

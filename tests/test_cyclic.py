@@ -32,7 +32,6 @@ from z2z4.cyclic import (
     rank_candidates,
     rank_spec,
     raw_pair_count,
-    spec_from_dict,
     spec_to_dict,
     shift_orbit,
     three_generator_words,
@@ -246,13 +245,3 @@ def test_linear_subcode_spec_moves_divisor():
     assert gray_linear(sub)
     with pytest.raises(ValueError):
         linear_subcode_spec(spec, QuatPoly((1, 1)))  # x + 1 does not divide g
-
-
-def test_spec_dict_round_trip():
-    for spec in enumerate_cyclic_specs(2, 3):
-        assert spec_from_dict(spec_to_dict(spec)) == spec
-    d = {"alpha": 1, "beta": 3, "b": "x+1", "ell": "1", "f": "1",
-         "h": "3+x", "g": [1, 1, 1]}
-    assert spec_from_dict(d) == _mixed_3()
-    with pytest.raises(ValueError, match="missing field"):
-        spec_from_dict({"alpha": 1})

@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from z2z4.cyclic import _deg
 from z2z4.errors import SizeGuardError
 from z2z4.gf2 import (
     BIN_ONE,
     BIN_ZERO,
     BinPoly,
-    MINUS_INFINITY,
     binary_factors,
     cyclotomic_cosets,
     divisors_of_xn1,
@@ -22,6 +22,7 @@ from z2z4.gf2 import (
     tensor_square,
     xn_minus_1,
 )
+from z2z4.z4 import Q_ONE, Q_ZERO, QuatPoly
 
 polys = st.integers(min_value=0, max_value=(1 << 24) - 1).map(BinPoly)
 nonzero_polys = st.integers(min_value=1, max_value=(1 << 24) - 1).map(BinPoly)
@@ -48,11 +49,13 @@ def test_parse_rejects_garbage():
 
 
 def test_degree_conventions():
-    assert BIN_ZERO.degree is MINUS_INFINITY
-    assert BIN_ONE.degree == 0
-    assert BinPoly.x_pow(5).degree == 5
-    assert MINUS_INFINITY < 0
-    assert MINUS_INFINITY + 3 is MINUS_INFINITY
+    assert BIN_ZERO.degree == Q_ZERO.degree == -1
+    assert BIN_ONE.degree == Q_ONE.degree == 0
+    assert BinPoly.x_pow(5).degree == QuatPoly.x_pow(5).degree == 5
+    # the closed forms read only nonzero degrees
+    with pytest.raises(ValueError, match="zero polynomial"):
+        _deg(BIN_ZERO)
+    assert _deg(BinPoly.x_pow(5)) == 5
 
 
 def test_divmod_exact():

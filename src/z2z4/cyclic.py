@@ -16,21 +16,21 @@ both the attainable rank bound and exhaustive enumeration (it predicts
 correct divisor needs the span of coefficientwise products of the
 high-order binary code, computed exactly by ``pairwise_product_span``.
 
-The closed forms lean on the per-length facts that ``gf2`` and ``z4``
-memoise (tensor squares, product spans, divisor lattices).  Here only
-the factorization test f h g = x^beta - 1 in ``validate`` is memoised,
-keyed by (f, h, g, beta): enumerated specs draw f, h and g from the
-3^t ways to share t basic factors, so the key space is bounded per
-length, not per spec.  Whole results (``kernel_spec``, ``rank_spec``,
-``validate``) are not cached; their key space grows with the specs.
+A ``CyclicSpec`` exists only once its checks pass, and it carries f, h
+and g mod 2, so its closed forms reduce nothing but divisors k of g.
+They lean on the per-length facts that ``gf2`` and ``z4`` memoise.
+Here the factorization test f h g = x^beta - 1 and the binary Bezout
+cofactor of (h, g) are memoised: specs draw f, h and g from the 3^t
+ways to share t basic factors, so the keys are bounded per length.
+Whole results (``kernel_spec``, ``rank_spec``) are not cached.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 from .code import DEFAULT_MAX_WORDS, AdditiveCode, CodeType, Word, _coords_to_word
-from .errors import SpecError
+from .errors import SizeGuardError, SpecError
 from .gf2 import (
     BIN_ONE,
     BIN_ZERO,
@@ -56,9 +56,23 @@ from .z4 import (
 )
 
 
-@dataclass(frozen=True)
+ENUMERATION_LIMIT = 1 << 24
+
+
+@lru_cache(maxsize=None)
+def _factors_xn1(f: QuatPoly, h: QuatPoly, g: QuatPoly, beta: int) -> bool:
+    """Whether f h g = x^beta - 1 over Z4 exactly."""
+    return f * h * g == xn_minus_1_z4(beta)
+
+
+@dataclass(frozen=True, slots=True)
 class CyclicSpec:
-    """Generator polynomial data for one cyclic code."""
+    """Generator polynomial data for one cyclic code, checked on construction.
+
+    SpecError names the first requirement that fails.  The last two make
+    the pair the canonical one for its code, which the closed forms
+    assume.  ``ft``, ``ht`` and ``gt`` are f, h and g mod 2.
+    """
 
     alpha: int
     beta: int
@@ -67,6 +81,43 @@ class CyclicSpec:
     f: QuatPoly
     h: QuatPoly
     g: QuatPoly
+    ft: BinPoly = field(init=False, repr=False, compare=False)
+    ht: BinPoly = field(init=False, repr=False, compare=False)
+    gt: BinPoly = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.alpha < 1:
+            raise SpecError("alpha-positive", f"alpha must be at least 1, got {self.alpha}")
+        if self.beta < 1 or self.beta % 2 == 0:
+            raise SpecError("beta-odd", f"beta must be odd and positive, got {self.beta}")
+        if self.b.is_zero:
+            raise SpecError("b-nonzero", "b must be a nonzero divisor of x^alpha - 1")
+        for name, p in (("f", self.f), ("h", self.h), ("g", self.g)):
+            if not p.is_monic:
+                raise SpecError("monic-factors", f"{name} must be monic, got {p}")
+        if not _factors_xn1(self.f, self.h, self.g, self.beta):
+            raise SpecError(
+                "factorization", f"f h g must equal x^{self.beta} - 1 over Z4 exactly"
+            )
+        if not self.b.divides(xn_minus_1(self.alpha)):
+            raise SpecError("b-divides", f"b = {self.b} does not divide x^{self.alpha} - 1")
+        if not (self.ell.degree < self.b.degree):
+            raise SpecError(
+                "ell-degree", f"need deg ell < deg b, got ell = {self.ell}, b = {self.b}"
+            )
+        # f, h and g divide x^beta - 1 now, so these are memoised per length
+        for name, p in (("ft", self.f), ("ht", self.h), ("gt", self.g)):
+            object.__setattr__(self, name, reduce_mod2(p))
+        if not ((self.ht * self.gt * gcd2(self.b, self.ell)) % self.b).is_zero:
+            raise SpecError(
+                "pair-closure-1",
+                "b must divide (x^beta - 1)/f * gcd(b, ell) for a canonical pair",
+            )
+        if not ((self.ht * gcd2(self.b, self.ell * self.gt)) % self.b).is_zero:
+            raise SpecError(
+                "pair-closure-2",
+                "b must divide h * gcd(b, ell * g) for a canonical pair",
+            )
 
     def __str__(self) -> str:
         return (
@@ -82,57 +133,9 @@ def _deg(p) -> int:
     return d
 
 
-@lru_cache(maxsize=None)
-def _factors_xn1(f: QuatPoly, h: QuatPoly, g: QuatPoly, beta: int) -> bool:
-    """Whether f h g = x^beta - 1 over Z4 exactly."""
-    return f * h * g == xn_minus_1_z4(beta)
-
-
-def validate(spec: CyclicSpec) -> None:
-    """Check every structural requirement, raising SpecError on the first failure.
-
-    The two divisibility conditions at the end are what make the given
-    pair the canonical one for the code it generates; without them the
-    closed forms below do not apply to the pair as written.
-    """
-    if spec.alpha < 1:
-        raise SpecError("alpha-positive", f"alpha must be at least 1, got {spec.alpha}")
-    if spec.beta < 1 or spec.beta % 2 == 0:
-        raise SpecError("beta-odd", f"beta must be odd and positive, got {spec.beta}")
-    if spec.b.is_zero:
-        raise SpecError("b-nonzero", "b must be a nonzero divisor of x^alpha - 1")
-    for name, p in (("f", spec.f), ("h", spec.h), ("g", spec.g)):
-        if not p.is_monic:
-            raise SpecError("monic-factors", f"{name} must be monic, got {p}")
-    if not _factors_xn1(spec.f, spec.h, spec.g, spec.beta):
-        raise SpecError(
-            "factorization", f"f h g must equal x^{spec.beta} - 1 over Z4 exactly"
-        )
-    if not spec.b.divides(xn_minus_1(spec.alpha)):
-        raise SpecError("b-divides", f"b = {spec.b} does not divide x^{spec.alpha} - 1")
-    if not (spec.ell.degree < spec.b.degree):
-        raise SpecError(
-            "ell-degree", f"need deg ell < deg b, got ell = {spec.ell}, b = {spec.b}"
-        )
-    ht = reduce_mod2(spec.h)
-    gt = reduce_mod2(spec.g)
-    if not ((ht * gt * gcd2(spec.b, spec.ell)) % spec.b).is_zero:
-        raise SpecError(
-            "pair-closure-1",
-            "b must divide (x^beta - 1)/f * gcd(b, ell) for a canonical pair",
-        )
-    if not ((ht * gcd2(spec.b, spec.ell * gt)) % spec.b).is_zero:
-        raise SpecError(
-            "pair-closure-2",
-            "b must divide h * gcd(b, ell * g) for a canonical pair",
-        )
-
-
 def cyclic_spec(alpha, beta, b, ell, f, h, g) -> CyclicSpec:
-    """Build and validate a spec, normalizing unit leading coefficients."""
-    spec = CyclicSpec(alpha, beta, b, ell, f.monic(), h.monic(), g.monic())
-    validate(spec)
-    return spec
+    """Build a spec, normalizing unit leading coefficients."""
+    return CyclicSpec(alpha, beta, b, ell, f.monic(), h.monic(), g.monic())
 
 
 def cardinality(spec: CyclicSpec) -> int:
@@ -143,9 +146,8 @@ def cardinality(spec: CyclicSpec) -> int:
 
 def type_from_degrees(spec: CyclicSpec) -> CodeType:
     """Type parameters straight from the generator degrees."""
-    gt = reduce_mod2(spec.g)
     db = _deg(spec.b)
-    d_lg = _deg(gcd2(spec.b, spec.ell * gt))
+    d_lg = _deg(gcd2(spec.b, spec.ell * spec.gt))
     d_l = _deg(gcd2(spec.b, spec.ell))
     gamma = spec.alpha - db + _deg(spec.h)
     delta = _deg(spec.g)
@@ -209,13 +211,14 @@ def gray_linear(spec: CyclicSpec) -> bool:
 # order-two subcode and alternative generator forms
 
 
-def _mu_bar(spec: CyclicSpec) -> BinPoly:
+@lru_cache(maxsize=None)
+def _mu_bar(ht: BinPoly, gt: BinPoly) -> BinPoly:
     """The binary cofactor mu of g in lam h + mu g = 1 over GF(2).
 
     Every closed form reads the Bezout identity for (h, g) only mod 2,
     so its lift to Z4 is never needed here.
     """
-    return ext_gcd2(reduce_mod2(spec.h), reduce_mod2(spec.g))[2]
+    return ext_gcd2(ht, gt)[2]
 
 
 def order_two_spec(spec: CyclicSpec) -> CyclicSpec:
@@ -230,7 +233,7 @@ def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
     the middle row carries no doubled contribution from ell.
     """
     a, be = spec.alpha, spec.beta
-    ell_b = _ell_for_divisor(spec, spec.g, _mu_bar(spec))
+    ell_b = _ell_for_divisor(spec, spec.gt)
     return (
         poly_word(a, be, spec.b, Q_ZERO),
         poly_word(a, be, spec.ell + ell_b, spec.f * spec.h),
@@ -242,10 +245,9 @@ def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
 # kernel
 
 
-def _ell_for_divisor(spec: CyclicSpec, k: QuatPoly, mu_t: BinPoly) -> BinPoly:
-    kt = reduce_mod2(k)
-    gt = reduce_mod2(spec.g)
-    return ((kt * spec.ell) + (BIN_ONE + kt) * mu_t * spec.ell * gt) % spec.b
+def _ell_for_divisor(spec: CyclicSpec, kt: BinPoly) -> BinPoly:
+    mu_t = _mu_bar(spec.ht, spec.gt)
+    return ((kt * spec.ell) + (BIN_ONE + kt) * mu_t * spec.ell * spec.gt) % spec.b
 
 
 def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
@@ -254,7 +256,7 @@ def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
     k must divide g; the subcode keeps b and f, moves k from g to h, and
     adjusts the binary mixing polynomial accordingly.
     """
-    ell_k = _ell_for_divisor(spec, k, _mu_bar(spec))
+    ell_k = _ell_for_divisor(spec, reduce_mod2(k))
     return cyclic_spec(
         spec.alpha, spec.beta, spec.b, ell_k, spec.f, spec.h * k, spec.g // k
     )
@@ -262,10 +264,9 @@ def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
 
 def _divisor_qualifies(spec: CyclicSpec, k: QuatPoly) -> bool:
     """Whether moving k out of g leaves a subcode with linear image."""
-    ft = reduce_mod2(spec.f)
     # reduction mod 2 is a ring map and k divides g, so this is (g / k) mod 2
-    q = reduce_mod2(spec.g) // reduce_mod2(k)
-    shrunk = (ft * spec.b) // gcd2(spec.b, spec.ell * q)
+    q = spec.gt // reduce_mod2(k)
+    shrunk = (spec.ft * spec.b) // gcd2(spec.b, spec.ell * q)
     return gcd2(shrunk, tensor_square(q, spec.beta)).is_one
 
 
@@ -284,14 +285,21 @@ class KernelResult:
     dimension: int
 
 
+def _minimal_divisors(spec: CyclicSpec) -> tuple[QuatPoly, ...]:
+    """The smallest-degree divisors k of g whose subcode has linear image.
+
+    ``monic_divisors`` ascends in degree, so the first degree with a
+    qualifying divisor is the smallest.
+    """
+    for _, ks in groupby(monic_divisors(spec.g, spec.beta), key=lambda k: k.degree):
+        minimal = tuple(k for k in ks if _divisor_qualifies(spec, k))
+        if minimal:
+            return minimal
+    raise AssertionError("k = g must always qualify")
+
+
 def kernel_spec(spec: CyclicSpec) -> KernelResult:
-    qualifying = [
-        k for k in monic_divisors(spec.g, spec.beta) if _divisor_qualifies(spec, k)
-    ]
-    if not qualifying:
-        raise AssertionError("k = g must always qualify")
-    min_deg = min(_deg(k) for k in qualifying)
-    minimal = tuple(k for k in qualifying if _deg(k) == min_deg)
+    minimal = _minimal_divisors(spec)
     k_prime = lcm_divisors(minimal, spec.beta)
     kspec = linear_subcode_spec(spec, k_prime)
     t = type_from_degrees(spec)
@@ -301,8 +309,7 @@ def kernel_spec(spec: CyclicSpec) -> KernelResult:
 
 def maximal_linear_subcodes(spec: CyclicSpec) -> tuple[CyclicSpec, ...]:
     """Subcodes with linear image that are maximal among the cyclic ones."""
-    res = kernel_spec(spec)
-    return tuple(linear_subcode_spec(spec, k) for k in res.minimal_divisors)
+    return tuple(linear_subcode_spec(spec, k) for k in _minimal_divisors(spec))
 
 
 def kernel_dim_candidates(t: CodeType) -> tuple[int, ...]:
@@ -338,14 +345,12 @@ class RankResult:
 
 def rank_spec(spec: CyclicSpec) -> RankResult:
     beta = spec.beta
-    ft = reduce_mod2(spec.f)
-    ht = reduce_mod2(spec.h)
-    gt = reduce_mod2(spec.g)
+    ft, gt = spec.ft, spec.gt
     full = xn_minus_1(beta)
 
     # the span of coefficientwise products of the high-order binary code;
     # its part coprime to f is what can erode the binary divisor b
-    span_gen = pairwise_product_span((ft * ht) % full, beta)
+    span_gen = pairwise_product_span((ft * spec.ht) % full, beta)
     rt = gcd2(ft, tensor_square(gt, beta))
     r = hensel_lift(rt, beta)
     if not r.divides(spec.f):
@@ -355,7 +360,7 @@ def rank_spec(spec: CyclicSpec) -> RankResult:
         raise AssertionError("product span disagrees with the tensor square prediction")
     cofactor = span_gen // shared
 
-    mu_t = _mu_bar(spec)
+    mu_t = _mu_bar(spec.ht, gt)
     b_r = gcd2(spec.b, mu_t * spec.ell * gt * cofactor)
     if cofactor.is_one:
         st = BIN_ZERO
@@ -383,11 +388,7 @@ def rank_candidates(t: CodeType) -> tuple[int, ...]:
 
 def raw_pair_count(alpha: int, beta: int) -> int:
     """Number of candidate tuples before the validity filter."""
-    t = len(quat_factors(beta))
-    total = 0
-    for b in divisors_of_xn1(alpha):
-        total += (1 << _deg(b)) * 3**t
-    return total
+    return 3 ** len(quat_factors(beta)) * sum(1 << _deg(b) for b in divisors_of_xn1(alpha))
 
 
 def enumerate_cyclic_specs(alpha: int, beta: int, type_filter=None):
@@ -395,26 +396,24 @@ def enumerate_cyclic_specs(alpha: int, beta: int, type_filter=None):
 
     ``type_filter`` restricts to matching (gamma, delta) or (gamma,
     delta, kappa).  Candidates violating the canonical-pair conditions
-    are skipped, not errors.
+    are skipped, not errors.  More than ``ENUMERATION_LIMIT`` candidates
+    raise SizeGuardError before the first is built.
     """
+    raw = raw_pair_count(alpha, beta)
+    if raw > ENUMERATION_LIMIT:
+        raise SizeGuardError(f"{raw} candidate pairs at ({alpha}, {beta}), above the "
+                             f"{ENUMERATION_LIMIT} guard", predicted=raw)
     factors = quat_factors(beta)
-    one = QuatPoly((1,))
     for b in divisors_of_xn1(alpha):
-        db = _deg(b)
-        ells = [BinPoly(m) for m in range(1 << db)]
+        ells = [BinPoly(m) for m in range(1 << _deg(b))]
         for assign in product((0, 1, 2), repeat=len(factors)):
-            f = h = g = one
+            fhg = [Q_ONE, Q_ONE, Q_ONE]
             for q, slot in zip(factors, assign):
-                if slot == 0:
-                    f = f * q
-                elif slot == 1:
-                    h = h * q
-                else:
-                    g = g * q
+                fhg[slot] = fhg[slot] * q
+            f, h, g = fhg
             for ell in ells:
-                spec = CyclicSpec(alpha, beta, b, ell, f, h, g)
                 try:
-                    validate(spec)
+                    spec = CyclicSpec(alpha, beta, b, ell, f, h, g)
                 except SpecError:
                     continue
                 if type_filter is not None:

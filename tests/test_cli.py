@@ -168,6 +168,13 @@ def test_enumerate_respects_size_guard(capsys):
     assert "error:" in err
 
 
+def test_search_guards_its_enumeration(capsys):
+    rc, out, err = _run(capsys, ["search", "--alpha", "40", "--beta", "3"])
+    assert rc == cli.EXIT_GUARD == 3
+    assert out == ""
+    assert err.startswith("error:") and "candidate pairs" in err
+
+
 def test_search_filtered(capsys):
     rc, out, _ = _run(capsys, [
         "search", "--alpha", "2", "--beta", "7",

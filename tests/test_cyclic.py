@@ -5,6 +5,8 @@ enumeration oracles by the verify module; these tests pin concrete
 values so a regression names the exact code that moved.
 """
 
+import pickle
+
 import pytest
 
 from z2z4.code import (
@@ -16,6 +18,7 @@ from z2z4.code import (
     span_bruteforce,
 )
 from z2z4.cyclic import (
+    ENUMERATION_LIMIT,
     CyclicSpec,
     cardinality,
     cyclic_spec,
@@ -37,9 +40,9 @@ from z2z4.cyclic import (
     three_generator_words,
     type_from_degrees,
 )
-from z2z4.errors import SpecError
+from z2z4.errors import SizeGuardError, SpecError
 from z2z4.gf2 import BIN_ONE, BIN_ZERO, BinPoly
-from z2z4.z4 import Q_ONE, QuatPoly
+from z2z4.z4 import Q_ONE, QuatPoly, reduce_mod2
 
 X1 = BinPoly.parse("x + 1")
 P3 = QuatPoly((3, 1, 2, 1))
@@ -92,6 +95,35 @@ def test_validate_rejects_unclosed_pair():
                     Q_ONE, XM1, QuatPoly((1, 1, 1)))
 
 
+XN3 = QuatPoly.parse("x^3 - 1")
+
+
+# pair-closure-2 has no case: b | h g gcd(b, ell) already gives
+# b / gcd(b, h) | gcd(b, ell g), so a spec past pair-closure-1 passes it
+@pytest.mark.parametrize("invariant, args", [
+    ("alpha-positive", (0, 3, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, XN3)),
+    ("beta-odd", (1, 4, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, Q_ONE)),
+    ("b-nonzero", (1, 3, BIN_ZERO, BIN_ZERO, Q_ONE, Q_ONE, XN3)),
+    ("monic-factors", (1, 3, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, XN3 * 3)),
+    ("factorization", (1, 3, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, Q_ONE)),
+    ("b-divides", (2, 3, BinPoly.parse("x^2 + x + 1"), BIN_ZERO, Q_ONE, Q_ONE, XN3)),
+    ("ell-degree", (1, 3, BIN_ONE, BIN_ONE, Q_ONE, Q_ONE, XN3)),
+    ("pair-closure-1", (1, 1, X1, BIN_ONE, XM1, Q_ONE, Q_ONE)),
+])
+def test_constructing_an_invalid_spec_raises(invariant, args):
+    with pytest.raises(SpecError, match=f"^{invariant}: ") as excinfo:
+        CyclicSpec(*args)
+    assert excinfo.value.invariant == invariant
+
+
+def test_pickle_round_trip_keeps_the_spec_and_its_residues():
+    spec = _mixed_3()
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and hash(back) == hash(spec) and repr(back) == repr(spec)
+    assert repr(spec).endswith(f"g={spec.g!r})")  # residues are not in the repr
+    assert (back.ft, back.ht, back.gt) == tuple(map(reduce_mod2, (spec.f, spec.h, spec.g)))
+
+
 def test_known_type():
     spec = _mixed_3()
     t = type_from_degrees(spec)
@@ -114,6 +146,12 @@ def test_enumeration_counts_frozen():
     assert len(list(enumerate_cyclic_specs(2, 7))) == 117
     assert len(list(enumerate_cyclic_specs(3, 3))) == 96
     assert len(list(enumerate_cyclic_specs(4, 5))) == 69
+
+
+def test_enumeration_guard_predicts_the_candidate_count():
+    with pytest.raises(SizeGuardError) as excinfo:
+        next(enumerate_cyclic_specs(40, 3))
+    assert excinfo.value.predicted == raw_pair_count(40, 3) > ENUMERATION_LIMIT
 
 
 def test_enumeration_type_filter():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from z2z4.cyclic import _mu_bar
 from z2z4.errors import SpecError
 from z2z4.gf2 import BIN_ONE, BinPoly, divisors_of_xn1, xn_minus_1
 from z2z4.z4 import (
@@ -134,6 +135,10 @@ def test_memoised_divisor_tables_equal_their_originals(n):
         for _ in range(2):  # the second call always reads the cache
             assert monic_divisors(g, n) == monic_divisors.__wrapped__(g, n)
             assert _factor_subset(g, n) == _factor_subset.__wrapped__(g, n)
+            assert reduce_mod2(g) == reduce_mod2.__wrapped__(g)
+            for h in monic_divisors(xn_minus_1_z4(n) // g, n):
+                ht, gt = reduce_mod2(h), reduce_mod2(g)
+                assert _mu_bar(ht, gt) == _mu_bar.__wrapped__(ht, gt)
 
 
 @pytest.mark.parametrize("n", (7, 9, 15, 21))

@@ -17,12 +17,17 @@ correct divisor needs the span of coefficientwise products of the
 high-order binary code, computed exactly by ``pairwise_product_span``.
 
 A ``CyclicSpec`` exists only once its checks pass, and it carries f, h
-and g mod 2, so its closed forms reduce nothing but divisors k of g.
-They lean on the per-length facts that ``gf2`` and ``z4`` memoise.
-Here the factorization test f h g = x^beta - 1 and the binary Bezout
-cofactor of (h, g) are memoised: specs draw f, h and g from the 3^t
-ways to share t basic factors, so the keys are bounded per length.
-Whole results (``kernel_spec``, ``rank_spec``) are not cached.
+and g mod 2.  Each closed form comes in two parts.  The part that reads
+only (f, h, g) is memoised per triple in ``_triple_forms``, keyed on the
+residues of f, h and g and the length: the divisor walk over g with its
+tensor squares, the binary Bezout cofactor of (h, g), the factor r that
+the rank moves from f to h, and the quotient and product polynomials
+the derived specs need.  The rest reads b and ell and works modulo b, on
+polynomials of degree below deg b.  The factorization test
+f h g = x^beta - 1 is memoised too.  Specs draw f, h and g from the 3^t
+ways to share t basic factors, so both memos have at most 3^t keys per
+length.  Whole results (``kernel_spec``, ``rank_spec``) are not cached,
+and every derived spec is built, and checked, as a new ``CyclicSpec``.
 """
 
 from dataclasses import dataclass, field
@@ -44,13 +49,14 @@ from .gf2 import (
     xn_minus_1,
 )
 from .z4 import (
-    Q_ONE,
     Q_ZERO,
     QuatPoly,
-    hensel_lift,
+    divisor_mask,
     lcm_divisors,
+    mask_poly,
     monic_divisors,
     quat_factors,
+    quat_mask,
     reduce_mod2,
     xn_minus_1_z4,
 )
@@ -112,11 +118,6 @@ class CyclicSpec:
             raise SpecError(
                 "pair-closure-1",
                 "b must divide (x^beta - 1)/f * gcd(b, ell) for a canonical pair",
-            )
-        if not ((self.ht * gcd2(self.b, self.ell * self.gt)) % self.b).is_zero:
-            raise SpecError(
-                "pair-closure-2",
-                "b must divide h * gcd(b, ell * g) for a canonical pair",
             )
 
     def __str__(self) -> str:
@@ -194,6 +195,80 @@ def materialize(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> Additiv
 
 
 # ---------------------------------------------------------------------------
+# the part of the closed forms that reads only (f, h, g)
+
+
+@dataclass(frozen=True, slots=True)
+class _TripleForms:
+    """What the closed forms of every spec with one (f, h, g) share.
+
+    ``walk`` holds the divisors k of g that can qualify for the kernel,
+    grouped by ascending degree, as (k, q, T(q)) with q = (g / k) mod 2.
+    The rank moves r from f to h; its binary divisor is
+    gcd(b, ell rank_p), and its mixing polynomial is ell rank_q modulo
+    that divisor.
+    """
+
+    h_mask: int
+    g_mask: int
+    mu_g: BinPoly  # mu g mod 2, with lam h + mu g = 1 over GF(2)
+    walk: tuple[tuple[tuple[QuatPoly, BinPoly, BinPoly], ...], ...]
+    r: QuatPoly
+    f_over_r: QuatPoly
+    h_times_r: QuatPoly
+    rank_p: BinPoly
+    rank_q: BinPoly
+
+
+@lru_cache(maxsize=None)
+def _triple_forms(ft: BinPoly, ht: BinPoly, gt: BinPoly, beta: int) -> _TripleForms:
+    """The (f, h, g) part of the closed forms, from f, h and g mod 2.
+
+    Each residue has one monic lift dividing x^beta - 1, so the factor
+    masks of the residues name f, h and g themselves.
+    """
+    f_mask, h_mask, g_mask = (divisor_mask(p, beta) for p in (ft, ht, gt))
+    walk = []
+    for _, ks in groupby(monic_divisors(mask_poly(g_mask, beta), beta),
+                         key=lambda k: k.degree):
+        group = []
+        for k in ks:
+            # reduction mod 2 is a ring map and k divides g
+            qt = gt // reduce_mod2(k)
+            tsq = tensor_square(qt, beta)
+            if gcd2(ft, tsq).is_one:  # else k qualifies for no b and ell
+                group.append((k, qt, tsq))
+        if group:
+            walk.append(tuple(group))
+
+    # the span of coefficientwise products of the high-order binary code;
+    # its part coprime to f is what can erode the binary divisor b
+    span_gen = pairwise_product_span((ft * ht) % xn_minus_1(beta), beta)
+    rt = gcd2(ft, tensor_square(gt, beta))
+    # r is the lift of rt: the basic factors over rt's coset factors
+    r_mask = divisor_mask(rt, beta)
+    r = mask_poly(r_mask, beta)
+    if not r.divides(mask_poly(f_mask, beta)):
+        raise AssertionError("lifted factor does not divide f")
+    shared = gcd2(span_gen, ft)
+    if shared != ft // rt:
+        raise AssertionError("product span disagrees with the tensor square prediction")
+    cofactor = span_gen // shared
+    st = BIN_ZERO if cofactor.is_one else invert_mod2(rt % cofactor, cofactor)
+    # every closed form reads the Bezout identity for (h, g) only mod 2
+    mu_g = ext_gcd2(ht, gt)[2] * gt
+    return _TripleForms(
+        h_mask, g_mask, mu_g, tuple(walk), r,
+        mask_poly(f_mask & ~r_mask, beta), mask_poly(h_mask | r_mask, beta),
+        mu_g * cofactor, BIN_ONE + (BIN_ONE + st) * mu_g,
+    )
+
+
+def _forms(spec: CyclicSpec) -> _TripleForms:
+    return _triple_forms(spec.ft, spec.ht, spec.gt, spec.beta)
+
+
+# ---------------------------------------------------------------------------
 # Gray linearity
 
 
@@ -204,21 +279,11 @@ def quaternary_linear(f: QuatPoly, g: QuatPoly, beta: int) -> bool:
 
 def gray_linear(spec: CyclicSpec) -> bool:
     """Closed-form linearity test for the full two-block code."""
-    return _divisor_qualifies(spec, Q_ONE)
+    return _minimal_divisors(spec)[0].is_one  # k = 1 is alone in degree 0
 
 
 # ---------------------------------------------------------------------------
 # order-two subcode and alternative generator forms
-
-
-@lru_cache(maxsize=None)
-def _mu_bar(ht: BinPoly, gt: BinPoly) -> BinPoly:
-    """The binary cofactor mu of g in lam h + mu g = 1 over GF(2).
-
-    Every closed form reads the Bezout identity for (h, g) only mod 2,
-    so its lift to Z4 is never needed here.
-    """
-    return ext_gcd2(ht, gt)[2]
 
 
 def order_two_spec(spec: CyclicSpec) -> CyclicSpec:
@@ -246,8 +311,10 @@ def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
 
 
 def _ell_for_divisor(spec: CyclicSpec, kt: BinPoly) -> BinPoly:
-    mu_t = _mu_bar(spec.ht, spec.gt)
-    return ((kt * spec.ell) + (BIN_ONE + kt) * mu_t * spec.ell * spec.gt) % spec.b
+    # ell (k + (1 + k) mu g) mod b, with each factor read mod b
+    b = spec.b
+    kb = kt % b
+    return (spec.ell * (kb + (BIN_ONE + kb) * (_forms(spec).mu_g % b))) % b
 
 
 def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
@@ -256,18 +323,25 @@ def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
     k must divide g; the subcode keeps b and f, moves k from g to h, and
     adjusts the binary mixing polynomial accordingly.
     """
-    ell_k = _ell_for_divisor(spec, reduce_mod2(k))
-    return cyclic_spec(
-        spec.alpha, spec.beta, spec.b, ell_k, spec.f, spec.h * k, spec.g // k
+    forms = _forms(spec)
+    k_mask = quat_mask(k, spec.beta)
+    if k_mask & ~forms.g_mask:
+        raise ValueError(f"{k} does not divide g = {spec.g}")
+    return CyclicSpec(
+        spec.alpha, spec.beta, spec.b, _ell_for_divisor(spec, reduce_mod2(k)), spec.f,
+        mask_poly(forms.h_mask | k_mask, spec.beta), mask_poly(forms.g_mask & ~k_mask, spec.beta),
     )
 
 
-def _divisor_qualifies(spec: CyclicSpec, k: QuatPoly) -> bool:
-    """Whether moving k out of g leaves a subcode with linear image."""
-    # reduction mod 2 is a ring map and k divides g, so this is (g / k) mod 2
-    q = spec.gt // reduce_mod2(k)
-    shrunk = (spec.ft * spec.b) // gcd2(spec.b, spec.ell * q)
-    return gcd2(shrunk, tensor_square(q, spec.beta)).is_one
+def _divisor_qualifies(spec: CyclicSpec, qt: BinPoly, tsq: BinPoly) -> bool:
+    """Whether moving k out of g leaves a subcode with linear image.
+
+    With q = (g / k) mod 2 that is gcd(f X, T(q)) = 1 over GF(2), where
+    X = b / gcd(b, ell q).  It holds iff gcd(f, T(q)) = 1, which the walk
+    has checked, and gcd(X, T(q)) = 1; ell q is read mod b.
+    """
+    b = spec.b
+    return gcd2(b // gcd2(b, spec.ell * (qt % b)), tsq).is_one
 
 
 @dataclass(frozen=True)
@@ -288,11 +362,11 @@ class KernelResult:
 def _minimal_divisors(spec: CyclicSpec) -> tuple[QuatPoly, ...]:
     """The smallest-degree divisors k of g whose subcode has linear image.
 
-    ``monic_divisors`` ascends in degree, so the first degree with a
-    qualifying divisor is the smallest.
+    The walk ascends in degree, so the first degree with a qualifying
+    divisor is the smallest.
     """
-    for _, ks in groupby(monic_divisors(spec.g, spec.beta), key=lambda k: k.degree):
-        minimal = tuple(k for k in ks if _divisor_qualifies(spec, k))
+    for group in _forms(spec).walk:
+        minimal = tuple(k for k, qt, tsq in group if _divisor_qualifies(spec, qt, tsq))
         if minimal:
             return minimal
     raise AssertionError("k = g must always qualify")
@@ -344,35 +418,14 @@ class RankResult:
 
 
 def rank_spec(spec: CyclicSpec) -> RankResult:
-    beta = spec.beta
-    ft, gt = spec.ft, spec.gt
-    full = xn_minus_1(beta)
-
-    # the span of coefficientwise products of the high-order binary code;
-    # its part coprime to f is what can erode the binary divisor b
-    span_gen = pairwise_product_span((ft * spec.ht) % full, beta)
-    rt = gcd2(ft, tensor_square(gt, beta))
-    r = hensel_lift(rt, beta)
-    if not r.divides(spec.f):
-        raise AssertionError("lifted factor does not divide f")
-    shared = gcd2(span_gen, ft)
-    if shared != ft // rt:
-        raise AssertionError("product span disagrees with the tensor square prediction")
-    cofactor = span_gen // shared
-
-    mu_t = _mu_bar(spec.ht, gt)
-    b_r = gcd2(spec.b, mu_t * spec.ell * gt * cofactor)
-    if cofactor.is_one:
-        st = BIN_ZERO
-    else:
-        st = invert_mod2(rt % cofactor, cofactor)
-    ell_r = (spec.ell + (BIN_ONE + st) * mu_t * spec.ell * gt) % b_r
-
-    rspec = cyclic_spec(
-        spec.alpha, beta, b_r, ell_r, spec.f // r, spec.h * r, spec.g
+    forms = _forms(spec)
+    b_r = gcd2(spec.b, spec.ell * (forms.rank_p % spec.b))
+    ell_r = (spec.ell * (forms.rank_q % b_r)) % b_r
+    rspec = CyclicSpec(
+        spec.alpha, spec.beta, b_r, ell_r, forms.f_over_r, forms.h_times_r, spec.g
     )
-    rank = (spec.alpha - _deg(b_r)) + (_deg(spec.h) + _deg(r)) + 2 * _deg(spec.g)
-    return RankResult(rspec, r, rank)
+    rank = (spec.alpha - _deg(b_r)) + _deg(forms.h_times_r) + 2 * _deg(spec.g)
+    return RankResult(rspec, forms.r, rank)
 
 
 def rank_candidates(t: CodeType) -> tuple[int, ...]:
@@ -403,14 +456,16 @@ def enumerate_cyclic_specs(alpha: int, beta: int, type_filter=None):
     if raw > ENUMERATION_LIMIT:
         raise SizeGuardError(f"{raw} candidate pairs at ({alpha}, {beta}), above the "
                              f"{ENUMERATION_LIMIT} guard", predicted=raw)
-    factors = quat_factors(beta)
+    # each basic factor goes into f, h or g; one list of triples per length
+    triples = []
+    for assign in product((0, 1, 2), repeat=len(quat_factors(beta))):
+        masks = [0, 0, 0]
+        for i, slot in enumerate(assign):
+            masks[slot] |= 1 << i
+        triples.append([mask_poly(m, beta) for m in masks])
     for b in divisors_of_xn1(alpha):
         ells = [BinPoly(m) for m in range(1 << _deg(b))]
-        for assign in product((0, 1, 2), repeat=len(factors)):
-            fhg = [Q_ONE, Q_ONE, Q_ONE]
-            for q, slot in zip(factors, assign):
-                fhg[slot] = fhg[slot] * q
-            f, h, g = fhg
+        for f, h, g in triples:
             for ell in ells:
                 try:
                     spec = CyclicSpec(alpha, beta, b, ell, f, h, g)

@@ -7,19 +7,29 @@ over Z4 into the Hensel lifts of the binary coset factors; those lifts
 are computed exactly by the Graeffe root-squaring step, never by
 floating point or iteration to convergence.
 
-``factor_xn1_z4`` and, for a monic divisor g of x^n - 1,
-``monic_divisors(g, n)``, ``_factor_subset(g, n)`` and ``reduce_mod2(g)``
-are computed once per process; a length has at most 2^(number of basic
-factors) such g.  Factoring calls no memo below its own table (neither
-``hensel_lift`` nor ``reduce_mod2``), so clearing that cache, as
-``bench/run.py`` does to time cold factoring, makes factoring cold again.
+A monic divisor of x^n - 1 is handled as a bitmask over the basic
+factors, in the order of ``factor_xn1_z4(n)``: bit i stands for the
+i-th factor.  Products of coprime divisors, quotients of nested ones and
+lcms are then unions and differences of masks.  Each basic factor
+reduces to the binary factor of the same coset, so the mask of a binary
+divisor p of x^n + 1 also names the one monic divisor of x^n - 1 that
+reduces to p: its Hensel lift.
+
+Memoised per process: ``factor_xn1_z4(n)``; ``divisor_mask(p, n)`` on a
+binary divisor p of x^n + 1 and ``mask_poly(mask, n)`` on a mask, both
+at most 2^t keys per length for t basic factors; and, for a monic
+divisor g of x^n - 1, ``monic_divisors(g, n)`` and ``reduce_mod2(g)``,
+again at most 2^t keys.  Factoring calls no memo below its own table
+(neither ``hensel_lift`` nor ``reduce_mod2``), so clearing that cache,
+as ``bench/run.py`` does to time cold factoring, makes factoring cold
+again.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SpecError
-from .gf2 import BinPoly, Coset, factor_xn1_gf2, ext_gcd2, xn_minus_1
+from .gf2 import BIN_ONE, BinPoly, Coset, factor_xn1_gf2, ext_gcd2, xn_minus_1
 from .polytext import format_terms, parse_terms
 
 
@@ -228,40 +238,55 @@ def quat_factors(n: int) -> tuple[QuatPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _factor_subset(p: QuatPoly, n: int) -> tuple[QuatPoly, ...]:
-    """Write a monic divisor of x^n - 1 as its set of basic factors."""
-    found = []
-    prod = Q_ONE
-    for q in quat_factors(n):
+def divisor_mask(p: BinPoly, n: int) -> int:
+    """The basic factors of x^n - 1 that reduce to factors of p, as a mask.
+
+    p must divide x^n + 1.  The lift of p is unique, so ``mask_poly`` of
+    the mask equals ``hensel_lift(p, n)``.
+    """
+    mask = 0
+    prod = BIN_ONE
+    for i, (_, q) in enumerate(factor_xn1_gf2(n)):
         if q.divides(p):
-            found.append(q)
+            mask |= 1 << i
             prod = prod * q
     if prod != p:
+        raise ValueError(f"{p} is not a divisor of x^{n} + 1")
+    return mask
+
+
+@lru_cache(maxsize=None)
+def mask_poly(mask: int, n: int) -> QuatPoly:
+    """The product of the basic factors of x^n - 1 that mask selects."""
+    if not mask:
+        return Q_ONE
+    low = mask & -mask
+    return mask_poly(mask ^ low, n) * quat_factors(n)[low.bit_length() - 1]
+
+
+def quat_mask(p: QuatPoly, n: int) -> int:
+    """The mask of a monic divisor p of x^n - 1 over Z4."""
+    mask = divisor_mask(reduce_mod2(p), n)
+    if mask_poly(mask, n) != p:
         raise ValueError(f"{p} is not a monic divisor of x^{n} - 1")
-    return tuple(found)
+    return mask
 
 
 @lru_cache(maxsize=None)
 def monic_divisors(g: QuatPoly, n: int) -> tuple[QuatPoly, ...]:
     """All monic divisors of g inside x^n - 1, sorted by (degree, coeffs)."""
-    parts = _factor_subset(g, n)
-    divs = [Q_ONE]
-    for q in parts:
-        divs += [d * q for d in divs]
+    gm = quat_mask(g, n)
+    divs = [mask_poly(m, n) for m in range(gm + 1) if m & gm == m]
     divs.sort(key=lambda d: (len(d.coeffs), d.coeffs))
     return tuple(divs)
 
 
 def lcm_divisors(ks, n: int) -> QuatPoly:
     """Least common multiple of monic divisors of x^n - 1."""
-    union: dict[QuatPoly, None] = {}
+    mask = 0
     for k in ks:
-        for q in _factor_subset(k, n):
-            union[q] = None
-    out = Q_ONE
-    for q in union:
-        out = out * q
-    return out
+        mask |= quat_mask(k, n)
+    return mask_poly(mask, n)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ values so a regression names the exact code that moved.
 """
 
 import pickle
+from itertools import product
 
 import pytest
 
@@ -41,8 +42,8 @@ from z2z4.cyclic import (
     type_from_degrees,
 )
 from z2z4.errors import SizeGuardError, SpecError
-from z2z4.gf2 import BIN_ONE, BIN_ZERO, BinPoly
-from z2z4.z4 import Q_ONE, QuatPoly, reduce_mod2
+from z2z4.gf2 import BIN_ONE, BIN_ZERO, BinPoly, divisors_of_xn1, gcd2
+from z2z4.z4 import Q_ONE, QuatPoly, quat_factors, reduce_mod2
 
 X1 = BinPoly.parse("x + 1")
 P3 = QuatPoly((3, 1, 2, 1))
@@ -98,8 +99,6 @@ def test_validate_rejects_unclosed_pair():
 XN3 = QuatPoly.parse("x^3 - 1")
 
 
-# pair-closure-2 has no case: b | h g gcd(b, ell) already gives
-# b / gcd(b, h) | gcd(b, ell g), so a spec past pair-closure-1 passes it
 @pytest.mark.parametrize("invariant, args", [
     ("alpha-positive", (0, 3, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, XN3)),
     ("beta-odd", (1, 4, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, Q_ONE)),
@@ -114,6 +113,37 @@ def test_constructing_an_invalid_spec_raises(invariant, args):
     with pytest.raises(SpecError, match=f"^{invariant}: ") as excinfo:
         CyclicSpec(*args)
     assert excinfo.value.invariant == invariant
+
+
+def test_pair_closure_1_implies_the_old_pair_closure_2():
+    # b | h g gcd(b, ell) gives b / gcd(b, h) | g gcd(b, ell), which divides
+    # gcd(b, ell g); so the check b | h gcd(b, ell g) could never fail
+    candidates = built = 0
+    for alpha in range(1, 7):
+        for beta in (1, 3, 5, 7):
+            factors = quat_factors(beta)
+            for b in divisors_of_xn1(alpha):
+                for assign in product((0, 1, 2), repeat=len(factors)):
+                    fhg = [Q_ONE, Q_ONE, Q_ONE]
+                    for q, slot in zip(factors, assign):
+                        fhg[slot] = fhg[slot] * q
+                    ht, gt = reduce_mod2(fhg[1]), reduce_mod2(fhg[2])
+                    for m in range(1 << b.degree):
+                        ell = BinPoly(m)
+                        candidates += 1
+                        closure_1 = ((ht * gt * gcd2(b, ell)) % b).is_zero
+                        closure_2 = ((ht * gcd2(b, ell * gt)) % b).is_zero
+                        assert closure_2 or not closure_1, (alpha, beta, b, ell, fhg)
+                        try:
+                            CyclicSpec(alpha, beta, b, ell, *fhg)
+                        except SpecError as exc:
+                            assert exc.invariant == "pair-closure-1" and not closure_1
+                        else:
+                            assert closure_1
+                            built += 1
+    assert candidates == sum(raw_pair_count(a, be) for a in range(1, 7) for be in (1, 3, 5, 7))
+    assert built == sum(len(list(enumerate_cyclic_specs(a, be)))
+                        for a in range(1, 7) for be in (1, 3, 5, 7))
 
 
 def test_pickle_round_trip_keeps_the_spec_and_its_residues():

@@ -3,20 +3,28 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from z2z4.cyclic import _mu_bar
+from z2z4.cyclic import (
+    _triple_forms,
+    enumerate_cyclic_specs,
+    kernel_spec,
+    maximal_linear_subcodes,
+    rank_spec,
+)
 from z2z4.errors import SpecError
 from z2z4.gf2 import BIN_ONE, BinPoly, divisors_of_xn1, xn_minus_1
 from z2z4.z4 import (
     Q_ONE,
     Q_ZERO,
     QuatPoly,
-    _factor_subset,
     bezout_lift,
+    divisor_mask,
     factor_xn1_z4,
     hensel_lift,
     lcm_divisors,
     lift_binary,
+    mask_poly,
     monic_divisors,
+    quat_mask,
     quat_factors,
     reduce_mod2,
     xn_minus_1_z4,
@@ -131,14 +139,41 @@ def test_monic_divisors():
 
 @pytest.mark.parametrize("n", range(1, 22, 2))
 def test_memoised_divisor_tables_equal_their_originals(n):
-    for g in monic_divisors(xn_minus_1_z4(n), n):
+    whole = xn_minus_1_z4(n)
+    divisors = monic_divisors(whole, n)
+    for g in divisors:
+        gt = reduce_mod2(g)
         for _ in range(2):  # the second call always reads the cache
             assert monic_divisors(g, n) == monic_divisors.__wrapped__(g, n)
-            assert _factor_subset(g, n) == _factor_subset.__wrapped__(g, n)
             assert reduce_mod2(g) == reduce_mod2.__wrapped__(g)
-            for h in monic_divisors(xn_minus_1_z4(n) // g, n):
-                ht, gt = reduce_mod2(h), reduce_mod2(g)
-                assert _mu_bar(ht, gt) == _mu_bar.__wrapped__(ht, gt)
+            assert divisor_mask(gt, n) == divisor_mask.__wrapped__(gt, n)
+            assert mask_poly(quat_mask(g, n), n) == mask_poly.__wrapped__(quat_mask(g, n), n) == g
+            for h in monic_divisors(whole // g, n):
+                ht, ft = reduce_mod2(h), reduce_mod2(whole // (g * h))
+                assert _triple_forms(ft, ht, gt, n) == _triple_forms.__wrapped__(ft, ht, gt, n)
+        # the mask-built lift is the Hensel lift
+        assert mask_poly(divisor_mask(gt, n), n) == hensel_lift(gt, n)
+        # products of coprime divisors and quotients of nested ones
+        for k in divisors:
+            gm, km = quat_mask(g, n), quat_mask(k, n)
+            if not gm & km:
+                assert mask_poly(gm | km, n) == g * k
+            if km & gm == km:
+                assert mask_poly(gm & ~km, n) == g // k
+
+
+def test_closed_form_memos_stay_within_their_per_length_bounds():
+    # 2^6 divisors and 3^6 triples at length 21
+    for memo in (divisor_mask, mask_poly, _triple_forms):
+        memo.cache_clear()
+    for alpha in range(1, 5):
+        for spec in enumerate_cyclic_specs(alpha, 21):
+            kernel_spec(spec)
+            rank_spec(spec)
+            maximal_linear_subcodes(spec)
+    assert divisor_mask.cache_info().currsize <= 64
+    assert mask_poly.cache_info().currsize <= 64
+    assert _triple_forms.cache_info().currsize <= 729
 
 
 @pytest.mark.parametrize("n", (7, 9, 15, 21))

@@ -18,14 +18,15 @@ high-order binary code, computed exactly by ``pairwise_product_span``.
 
 A ``CyclicSpec`` exists only once its checks pass, and it carries f, h
 and g mod 2.  Each closed form comes in two parts.  The part that reads
-only (f, h, g) is memoised per triple in ``_triple_forms``, keyed on the
-residues of f, h and g and the length: the divisor walk over g with its
-tensor squares, the binary Bezout cofactor of (h, g), the factor r that
-the rank moves from f to h, and the quotient and product polynomials
-the derived specs need.  The rest reads b and ell and works modulo b, on
-polynomials of degree below deg b.  The factorization test
+only (f, h, g) is memoised per triple, keyed on the residues of f, h
+and g and the length.  ``_triple_forms`` holds the divisor walk over g
+with its tensor squares and the binary Bezout cofactor of (h, g), which
+the kernel, subcode and linearity forms read.  ``_rank_forms`` holds the
+factor r that the rank moves from f to h, and the quotient and product
+polynomials the rank spec needs.  The rest reads b and ell and works
+modulo b, on polynomials of degree below deg b.  The factorization test
 f h g = x^beta - 1 is memoised too.  Specs draw f, h and g from the 3^t
-ways to share t basic factors, so both memos have at most 3^t keys per
+ways to share t basic factors, so these memos have at most 3^t keys per
 length.  Whole results (``kernel_spec``, ``rank_spec``) are not cached,
 and every derived spec is built, and checked, as a new ``CyclicSpec``.
 """
@@ -200,34 +201,26 @@ def materialize(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> Additiv
 
 @dataclass(frozen=True, slots=True)
 class _TripleForms:
-    """What the closed forms of every spec with one (f, h, g) share.
+    """What the kernel and subcode forms of every spec with one (f, h, g) share.
 
     ``walk`` holds the divisors k of g that can qualify for the kernel,
     grouped by ascending degree, as (k, q, T(q)) with q = (g / k) mod 2.
-    The rank moves r from f to h; its binary divisor is
-    gcd(b, ell rank_p), and its mixing polynomial is ell rank_q modulo
-    that divisor.
     """
 
     h_mask: int
     g_mask: int
     mu_g: BinPoly  # mu g mod 2, with lam h + mu g = 1 over GF(2)
     walk: tuple[tuple[tuple[QuatPoly, BinPoly, BinPoly], ...], ...]
-    r: QuatPoly
-    f_over_r: QuatPoly
-    h_times_r: QuatPoly
-    rank_p: BinPoly
-    rank_q: BinPoly
 
 
 @lru_cache(maxsize=None)
 def _triple_forms(ft: BinPoly, ht: BinPoly, gt: BinPoly, beta: int) -> _TripleForms:
-    """The (f, h, g) part of the closed forms, from f, h and g mod 2.
+    """The (f, h, g) part of the kernel and subcode forms, from f, h and g mod 2.
 
     Each residue has one monic lift dividing x^beta - 1, so the factor
     masks of the residues name f, h and g themselves.
     """
-    f_mask, h_mask, g_mask = (divisor_mask(p, beta) for p in (ft, ht, gt))
+    h_mask, g_mask = divisor_mask(ht, beta), divisor_mask(gt, beta)
     walk = []
     for _, ks in groupby(monic_divisors(mask_poly(g_mask, beta), beta),
                          key=lambda k: k.degree):
@@ -240,7 +233,30 @@ def _triple_forms(ft: BinPoly, ht: BinPoly, gt: BinPoly, beta: int) -> _TripleFo
                 group.append((k, qt, tsq))
         if group:
             walk.append(tuple(group))
+    # every closed form reads the Bezout identity for (h, g) only mod 2
+    mu_g = ext_gcd2(ht, gt)[2] * gt
+    return _TripleForms(h_mask, g_mask, mu_g, tuple(walk))
 
+
+@dataclass(frozen=True, slots=True)
+class _RankForms:
+    """What the rank form of every spec with one (f, h, g) shares.
+
+    The rank moves r from f to h; its binary divisor is gcd(b, ell p),
+    and its mixing polynomial is ell q modulo that divisor.
+    """
+
+    r: QuatPoly
+    f_over_r: QuatPoly
+    h_times_r: QuatPoly
+    p: BinPoly
+    q: BinPoly
+
+
+@lru_cache(maxsize=None)
+def _rank_forms(ft: BinPoly, ht: BinPoly, gt: BinPoly, beta: int) -> _RankForms:
+    """The (f, h, g) part of the rank form, from f, h and g mod 2."""
+    f_mask, h_mask = divisor_mask(ft, beta), divisor_mask(ht, beta)
     # the span of coefficientwise products of the high-order binary code;
     # its part coprime to f is what can erode the binary divisor b
     span_gen = pairwise_product_span((ft * ht) % xn_minus_1(beta), beta)
@@ -255,11 +271,9 @@ def _triple_forms(ft: BinPoly, ht: BinPoly, gt: BinPoly, beta: int) -> _TripleFo
         raise AssertionError("product span disagrees with the tensor square prediction")
     cofactor = span_gen // shared
     st = BIN_ZERO if cofactor.is_one else invert_mod2(rt % cofactor, cofactor)
-    # every closed form reads the Bezout identity for (h, g) only mod 2
     mu_g = ext_gcd2(ht, gt)[2] * gt
-    return _TripleForms(
-        h_mask, g_mask, mu_g, tuple(walk), r,
-        mask_poly(f_mask & ~r_mask, beta), mask_poly(h_mask | r_mask, beta),
+    return _RankForms(
+        r, mask_poly(f_mask & ~r_mask, beta), mask_poly(h_mask | r_mask, beta),
         mu_g * cofactor, BIN_ONE + (BIN_ONE + st) * mu_g,
     )
 
@@ -320,11 +334,12 @@ def _ell_for_divisor(spec: CyclicSpec, kt: BinPoly) -> BinPoly:
 def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
     """The largest subcode with linear image whose quaternary loss is k.
 
-    k must divide g; the subcode keeps b and f, moves k from g to h, and
-    adjusts the binary mixing polynomial accordingly.
+    k must divide g, up to a unit; the subcode keeps b and f, moves the
+    monic k from g to h, and adjusts the binary mixing polynomial
+    accordingly.
     """
     forms = _forms(spec)
-    k_mask = quat_mask(k, spec.beta)
+    k_mask = quat_mask(k.monic(), spec.beta)
     if k_mask & ~forms.g_mask:
         raise ValueError(f"{k} does not divide g = {spec.g}")
     return CyclicSpec(
@@ -418,9 +433,9 @@ class RankResult:
 
 
 def rank_spec(spec: CyclicSpec) -> RankResult:
-    forms = _forms(spec)
-    b_r = gcd2(spec.b, spec.ell * (forms.rank_p % spec.b))
-    ell_r = (spec.ell * (forms.rank_q % b_r)) % b_r
+    forms = _rank_forms(spec.ft, spec.ht, spec.gt, spec.beta)
+    b_r = gcd2(spec.b, spec.ell * (forms.p % spec.b))
+    ell_r = (spec.ell * (forms.q % b_r)) % b_r
     rspec = CyclicSpec(
         spec.alpha, spec.beta, b_r, ell_r, forms.f_over_r, forms.h_times_r, spec.g
     )

@@ -276,7 +276,13 @@ def quat_mask(p: QuatPoly, n: int) -> int:
 def monic_divisors(g: QuatPoly, n: int) -> tuple[QuatPoly, ...]:
     """All monic divisors of g inside x^n - 1, sorted by (degree, coeffs)."""
     gm = quat_mask(g, n)
-    divs = [mask_poly(m, n) for m in range(gm + 1) if m & gm == m]
+    divs = []
+    m = gm
+    while True:  # every submask of gm, from gm down to 0
+        divs.append(mask_poly(m, n))
+        if not m:
+            break
+        m = (m - 1) & gm
     divs.sort(key=lambda d: (len(d.coeffs), d.coeffs))
     return tuple(divs)
 

@@ -311,5 +311,7 @@ def test_linear_subcode_spec_moves_divisor():
     assert sub.h == P3
     assert sub.g == Q3
     assert gray_linear(sub)
+    # a k with unit leading coefficient 3 divides g too, and moves its monic part
+    assert linear_subcode_spec(spec, P3 * 3) == sub
     with pytest.raises(ValueError):
         linear_subcode_spec(spec, QuatPoly((1, 1)))  # x + 1 does not divide g

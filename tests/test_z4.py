@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from z2z4.cyclic import (
+    _rank_forms,
     _triple_forms,
     enumerate_cyclic_specs,
     kernel_spec,
@@ -137,6 +138,13 @@ def test_monic_divisors():
         monic_divisors(QuatPoly((1, 1)), 7)  # x + 1 is not a divisor of x^7 - 1
 
 
+@pytest.mark.parametrize("n", (63, 255))
+def test_monic_divisors_of_one_factor_at_a_length_with_many_factors(n):
+    # the listing walks only the submasks of g, however high g's factor bit
+    last = quat_factors(n)[-1]
+    assert monic_divisors(last, n) == (Q_ONE, last)
+
+
 @pytest.mark.parametrize("n", range(1, 22, 2))
 def test_memoised_divisor_tables_equal_their_originals(n):
     whole = xn_minus_1_z4(n)
@@ -151,6 +159,7 @@ def test_memoised_divisor_tables_equal_their_originals(n):
             for h in monic_divisors(whole // g, n):
                 ht, ft = reduce_mod2(h), reduce_mod2(whole // (g * h))
                 assert _triple_forms(ft, ht, gt, n) == _triple_forms.__wrapped__(ft, ht, gt, n)
+                assert _rank_forms(ft, ht, gt, n) == _rank_forms.__wrapped__(ft, ht, gt, n)
         # the mask-built lift is the Hensel lift
         assert mask_poly(divisor_mask(gt, n), n) == hensel_lift(gt, n)
         # products of coprime divisors and quotients of nested ones
@@ -164,7 +173,7 @@ def test_memoised_divisor_tables_equal_their_originals(n):
 
 def test_closed_form_memos_stay_within_their_per_length_bounds():
     # 2^6 divisors and 3^6 triples at length 21
-    for memo in (divisor_mask, mask_poly, _triple_forms):
+    for memo in (divisor_mask, mask_poly, _triple_forms, _rank_forms):
         memo.cache_clear()
     for alpha in range(1, 5):
         for spec in enumerate_cyclic_specs(alpha, 21):
@@ -174,6 +183,7 @@ def test_closed_form_memos_stay_within_their_per_length_bounds():
     assert divisor_mask.cache_info().currsize <= 64
     assert mask_poly.cache_info().currsize <= 64
     assert _triple_forms.cache_info().currsize <= 729
+    assert _rank_forms.cache_info().currsize <= 729
 
 
 @pytest.mark.parametrize("n", (7, 9, 15, 21))

@@ -88,6 +88,42 @@ def test_library_value_error_exits_4(monkeypatch, capsys):
     assert "Traceback" in err and "ValueError: broken library call" in err
 
 
+def test_analyze_renders_a_failing_report(monkeypatch, capsys):
+    # a synthetic report, built as test_verify.test_failing_row_rendering
+    # builds one: no real spec is known to fail
+    def failing(spec, max_words):
+        return verify.CheckReport(
+            spec, (("cardinality", True), ("kernel-dim", False)),
+            "kernel-dim: closed 3, oracle 2", ("rank-set",),
+            cyclic.kernel_spec(spec), cyclic.rank_spec(spec),
+        )
+
+    monkeypatch.setattr(cli, "cross_check", failing)
+    verify_flags = ["analyze", *F2_FLAGS, "--verify", "--format"]
+    rc, out, err = _run(capsys, [*verify_flags, "csv"])
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[1] == "1,3,1+x,1,1,3+x,1+x+x^2,1,2,1,3,6,1+x+x^2,1,fail"
+    rc, out, err = _run(capsys, [*verify_flags, "json"])
+    assert (rc, err) == (1, "")
+    doc = json.loads(out)["verify"]
+    assert doc == {
+        "passed": False,
+        "checks": [{"name": "cardinality", "passed": True},
+                   {"name": "kernel-dim", "passed": False}],
+        "skipped": ["rank-set"],
+        "witness": "kernel-dim: closed 3, oracle 2",
+    }
+    rc, out, err = _run(capsys, [*verify_flags, "text"])
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[-5:] == [
+        "  pass  cardinality",
+        "  FAIL  kernel-dim",
+        "  skip  rank-set",
+        "  witness: kernel-dim: closed 3, oracle 2",
+        "verify: FAILED",
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", *F2_FLAGS, "--f", "2x+1"],
     ["analyze", *F2_FLAGS, "--g", "x^"],

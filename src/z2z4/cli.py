@@ -9,6 +9,11 @@ Commands: ``factor``, ``analyze``, ``enumerate``, ``search``,
 failed, 2 invalid input, 3 a resource guard tripped, 4 an internal error
 (any other exception; its traceback goes to stderr).
 
+Each command prints a JSON record or a text or CSV view of it: ``analyze``
+renders ``_analysis``, ``search`` and ``paper-suite`` the records of
+``verify``.  Spec and type texts are ``cyclic._spec_text`` and
+``code._type_text``.
+
 Polynomial arguments use the shared text grammar (``3 + x + 2x^2``);
 binary and quaternary positions are fixed per argument, never inferred
 from the coefficients.  No environment variable is read.
@@ -21,11 +26,11 @@ import json
 import sys
 import traceback
 
-from .code import DEFAULT_MAX_WORDS, Word, gray_array
+from .code import DEFAULT_MAX_WORDS, Word, _type_text, gray_array
 from .cyclic import (
     CyclicSpec,
-    KernelResult,
-    RankResult,
+    _pair_text,
+    _spec_text,
     cardinality,
     cyclic_spec,
     kernel_dim_candidates,
@@ -41,6 +46,9 @@ from .errors import SizeGuardError, SpecError
 from .gf2 import BinPoly, factor_xn1_gf2, xn_minus_1
 from .verify import (
     CSV_HEADER,
+    CheckReport,
+    _mark,
+    _verdict,
     cross_check,
     csv_row,
     paper_suite,
@@ -115,8 +123,9 @@ def _spec_from_args(args: argparse.Namespace) -> CyclicSpec:
     return cyclic_spec(args.alpha, args.beta, b, ell, f, h, g)
 
 
-def _nospace(p) -> str:
-    return str(p).replace(" ", "")
+def _print(view: str | dict | list) -> None:
+    """Print a text or CSV view, which ends in its own newline, or a JSON record."""
+    print(view if isinstance(view, str) else json.dumps(view) + "\n", end="")
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +134,9 @@ def _nospace(p) -> str:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     n = args.n
-    if args.ring == "gf2":
-        pairs = factor_xn1_gf2(n)
-        whole = xn_minus_1(n)
-    else:
-        pairs = factor_xn1_z4(n)
-        whole = xn_minus_1_z4(n)
+    factor, modulus, ring = {"gf2": (factor_xn1_gf2, xn_minus_1, "Z2"),
+                             "z4": (factor_xn1_z4, xn_minus_1_z4, "Z4")}[args.ring]
+    pairs, whole = factor(n), modulus(n)
     if args.format == "json":
         print(json.dumps({
             "n": n,
@@ -144,10 +150,10 @@ def cmd_factor(args: argparse.Namespace) -> int:
         print("coset_leader,coset,poly")
         for coset, q in pairs:
             orbit = ";".join(str(e) for e in coset.exps)
-            print(f"{coset.leader},{orbit},{_nospace(q)}")
+            print(f"{coset.leader},{orbit},{q}".replace(" ", ""))
     else:
         product = "".join(f"({q})" for _, q in pairs)
-        print(f"x^{n} - 1 = {product}  over {'Z2' if args.ring == 'gf2' else 'Z4'}")
+        print(f"x^{n} - 1 = {product}  over {ring}")
         for coset, q in pairs:
             orbit = "{" + ", ".join(str(e) for e in coset.exps) + "}"
             print(f"  coset {orbit}: {q}")
@@ -158,9 +164,12 @@ def cmd_factor(args: argparse.Namespace) -> int:
 # analyze
 
 
-def _analysis(spec: CyclicSpec, kres: KernelResult, rres: RankResult) -> dict:
+def _analysis(spec: CyclicSpec, rep: CheckReport | None) -> dict:
+    """The JSON record of ``analyze``; ``rep`` is the ``--verify`` report."""
+    kres, rres = ((rep.kernel_result, rep.rank_result) if rep
+                  else (kernel_spec(spec), rank_spec(spec)))
     t = type_from_degrees(spec)
-    return {
+    a = {
         "spec": spec_to_dict(spec),
         "type": [t.alpha, t.beta, t.gamma, t.delta, t.kappa],
         "kappa_split": [t.kappa1, t.kappa2],
@@ -181,73 +190,57 @@ def _analysis(spec: CyclicSpec, kres: KernelResult, rres: RankResult) -> dict:
             "candidates": list(rank_candidates(t)),
         },
     }
-
-
-def _analysis_text(a: dict) -> str:
-    s = a["spec"]
-    t = a["type"]
-    lines = [
-        "spec: alpha={alpha} beta={beta} b=({b}) ell=({ell}) "
-        "f=({f}) h=({h}) g=({g})".format(**s),
-        f"type ({t[0]}, {t[1]}; {t[2]}, {t[3]}; {t[4]})"
-        f"  kappa split {a['kappa_split'][0]} + {a['kappa_split'][1]}",
-        f"size 2^{a['log2_size']} = {a['size']} words",
-        f"gray image linear: {'yes' if a['gray_linear'] else 'no'}",
-        f"kernel dim {a['kernel']['dim']}, k' = ({a['kernel']['k_prime']}), "
-        "minimal divisors "
-        + ", ".join(f"({k})" for k in a["kernel"]["minimal_divisors"]),
-        "kernel pair: b=({b}) ell=({ell}) f=({f}) h=({h}) g=({g})".format(
-            **a["kernel"]["spec"]),
-        f"rank {a['rank']['rank']}, r = ({a['rank']['r']})",
-        "span pair: b=({b}) ell=({ell}) f=({f}) h=({h}) g=({g})".format(
-            **a["rank"]["spec"]),
-        "kernel dim candidates: "
-        + ", ".join(str(d) for d in a["kernel"]["candidates"]),
-        "rank candidates: " + ", ".join(str(d) for d in a["rank"]["candidates"]),
-    ]
-    return "\n".join(lines)
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    code = EXIT_OK
-    if args.verify:
-        rep = cross_check(spec, max_words=args.max_size)
-        a = _analysis(spec, rep.kernel_result, rep.rank_result)
+    if rep:
         a["verify"] = {
             "passed": rep.passed,
             "checks": [{"name": n, "passed": ok} for n, ok in rep.checks],
             "skipped": list(rep.skipped),
             "witness": rep.witness,
         }
-        if not rep.passed:
-            code = EXIT_CHECK_FAILED
-    else:
-        a = _analysis(spec, kernel_spec(spec), rank_spec(spec))
-    if args.format == "json":
-        print(json.dumps(a))
-    elif args.format == "csv":
-        verdict = "unchecked"
-        if args.verify:
-            verdict = "pass" if a["verify"]["passed"] else "fail"
-        print(CSV_HEADER)
-        print(csv_row(
-            spec, a["kernel"]["dim"], a["rank"]["rank"],
-            a["kernel"]["k_prime"], a["rank"]["r"], verdict,
-        ))
-    else:
-        print(_analysis_text(a))
-        if args.verify:
-            v = a["verify"]
-            for check in v["checks"]:
-                print(f"  {'pass' if check['passed'] else 'FAIL'}  {check['name']}")
-            for name in v["skipped"]:
-                print(f"  skip  {name}")
-            if v["witness"]:
-                print(f"  witness: {v['witness']}")
-            print("verify: all checks passed" if v["passed"]
-                  else "verify: FAILED")
-    return code
+    return a
+
+
+def _analysis_text(a: dict) -> str:
+    k, r = a["kernel"], a["rank"]
+    lines = [
+        "spec: " + _spec_text(**a["spec"]),
+        f"type {_type_text(*a['type'])}"
+        f"  kappa split {a['kappa_split'][0]} + {a['kappa_split'][1]}",
+        f"size 2^{a['log2_size']} = {a['size']} words",
+        f"gray image linear: {'yes' if a['gray_linear'] else 'no'}",
+        f"kernel dim {k['dim']}, k' = ({k['k_prime']}), minimal divisors "
+        + ", ".join(f"({d})" for d in k["minimal_divisors"]),
+        "kernel pair: " + _pair_text(**k["spec"]),
+        f"rank {r['rank']}, r = ({r['r']})",
+        "span pair: " + _pair_text(**r["spec"]),
+        "kernel dim candidates: " + ", ".join(str(d) for d in k["candidates"]),
+        "rank candidates: " + ", ".join(str(d) for d in r["candidates"]),
+    ]
+    if "verify" in a:
+        v = a["verify"]
+        lines += [f"  {_mark(_verdict(c['passed']))}  {c['name']}" for c in v["checks"]]
+        lines += [f"  skip  {name}" for name in v["skipped"]]
+        if v["witness"]:
+            lines.append(f"  witness: {v['witness']}")
+        lines.append("verify: all checks passed" if v["passed"] else "verify: FAILED")
+    return "\n".join(lines) + "\n"
+
+
+def _analysis_csv(a: dict) -> str:
+    row = {**a["spec"], "type": a["type"], "kernel_dim": a["kernel"]["dim"],
+           "rank": a["rank"]["rank"], "k_prime": a["kernel"]["k_prime"], "r": a["rank"]["r"]}
+    if "verify" in a:
+        row["verdict"] = _verdict(a["verify"]["passed"])
+    return f"{CSV_HEADER}\n{csv_row(row)}\n"
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args)
+    rep = cross_check(spec, max_words=args.max_size) if args.verify else None
+    a = _analysis(spec, rep)
+    _print(a if args.format == "json"
+           else {"text": _analysis_text, "csv": _analysis_csv}[args.format](a))
+    return EXIT_CHECK_FAILED if rep and not rep.passed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +322,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
     else:
         summary = tabulate(args.alpha, args.beta, type_filter=type_filter)
-    if args.format == "json":
-        print(json.dumps(sweep_rows_json(summary)))
-    elif args.format == "csv":
-        print(sweep_rows_csv(summary), end="")
-    else:
-        print(sweep_text(summary), end="")
+    render = {"json": sweep_rows_json, "csv": sweep_rows_csv, "text": sweep_text}
+    _print(render[args.format](summary))
     return EXIT_OK if summary.passed else EXIT_CHECK_FAILED
 
 
@@ -342,23 +331,21 @@ def cmd_search(args: argparse.Namespace) -> int:
 # paper-suite
 
 
+def _suite_csv(report, strict: bool) -> str:
+    """The CSV view of ``suite_json``'s record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("id", "title", "passed", "flagged"))
+    for f in suite_json(report, strict=strict)["fixtures"]:
+        writer.writerow((f["id"], f["title"], json.dumps(f["passed"]), json.dumps(f["flagged"])))
+    return buf.getvalue()
+
+
 def cmd_paper_suite(args: argparse.Namespace) -> int:
     report = paper_suite()
     strict = args.strict_erratum
-    if args.format == "json":
-        print(json.dumps(suite_json(report, strict=strict)))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("id", "title", "passed", "flagged"))
-        for f in report.fixtures:
-            writer.writerow((
-                f.fixture_id, f.title,
-                str(f.passed).lower(), str(f.flagged).lower(),
-            ))
-        print(buf.getvalue(), end="")
-    else:
-        print(suite_text(report, strict=strict), end="")
+    render = {"json": suite_json, "csv": _suite_csv, "text": suite_text}
+    _print(render[args.format](report, strict=strict))
     return EXIT_OK if report.ok(strict=strict) else EXIT_CHECK_FAILED
 
 
@@ -431,12 +418,9 @@ def main(argv: list[str] | None = None) -> int:
                          "(search reads them only with --verify)")
     try:
         return args.func(args)
-    except SizeGuardError as exc:
+    except (SizeGuardError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_GUARD if isinstance(exc, SizeGuardError) else EXIT_INVALID
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

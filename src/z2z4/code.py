@@ -494,6 +494,11 @@ def howell_rows(alpha: int, beta: int, generators) -> tuple[tuple[int, ...], ...
     return _coord_rows(out)
 
 
+def _type_text(alpha, beta, gamma, delta, kappa) -> str:
+    """The one text form of a type; JSON records list the five numbers in this order."""
+    return f"({alpha}, {beta}; {gamma}, {delta}; {kappa})"
+
+
 @dataclass(frozen=True)
 class CodeType:
     """Type parameters (alpha, beta; gamma, delta; kappa) with refinements.
@@ -533,7 +538,7 @@ class CodeType:
         return 1 << (self.gamma + 2 * self.delta)
 
     def __str__(self) -> str:
-        return f"({self.alpha}, {self.beta}; {self.gamma}, {self.delta}; {self.kappa})"
+        return _type_text(self.alpha, self.beta, self.gamma, self.delta, self.kappa)
 
 
 # ---------------------------------------------------------------------------

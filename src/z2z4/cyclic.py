@@ -72,6 +72,16 @@ def _factors_xn1(f: QuatPoly, h: QuatPoly, g: QuatPoly, beta: int) -> bool:
     return f * h * g == xn_minus_1_z4(beta)
 
 
+def _pair_text(b, ell, f, h, g, **_) -> str:
+    """The generator part of ``_spec_text``; kernel and span pairs print it alone."""
+    return f"b=({b}) ell=({ell}) f=({f}) h=({h}) g=({g})"
+
+
+def _spec_text(alpha, beta, b, ell, f, h, g, **_) -> str:
+    """The one text form of a spec, from its fields or a record holding them."""
+    return f"alpha={alpha} beta={beta} " + _pair_text(b, ell, f, h, g)
+
+
 @dataclass(frozen=True, slots=True)
 class CyclicSpec:
     """Generator polynomial data for one cyclic code, checked on construction.
@@ -122,10 +132,9 @@ class CyclicSpec:
             )
 
     def __str__(self) -> str:
-        return (
-            f"alpha={self.alpha} beta={self.beta} b=({self.b}) ell=({self.ell}) "
-            f"f=({self.f}) h=({self.h}) g=({self.g})"
-        )
+        # str() first keeps this as fast as one f-string; str(spec) is a per-spec key
+        return _spec_text(self.alpha, self.beta, str(self.b), str(self.ell),
+                          str(self.f), str(self.h), str(self.g))
 
 
 def _deg(p) -> int:

@@ -7,6 +7,10 @@ over whole parameter ranges, and ``paper_suite`` pins down the worked
 examples this code base was validated against, including one fixture
 whose published value contradicts the verified one and is therefore
 reported as flagged rather than asserted.
+
+``sweep_rows_json`` and ``suite_json`` build the JSON records that the
+text and CSV views (``sweep_text``, ``csv_row``, ``suite_text``) render.
+Verdict words come from ``_verdict``; ``_mark`` spells a failure FAIL.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .code import (
     _add_word,
     _isin_sorted,
     _split,
+    _type_text,
     gray_array,
     gray_preimage,
     is_gray_linear_bruteforce,
@@ -39,6 +44,7 @@ from .cyclic import (
     CyclicSpec,
     KernelResult,
     RankResult,
+    _spec_text,
     cardinality,
     cyclic_spec,
     enumerate_cyclic_specs,
@@ -305,8 +311,11 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
 @dataclass(frozen=True)
 class SweepRow:
     spec: CyclicSpec
-    guarded: bool
-    report: CheckReport | None
+    report: CheckReport | None  # None when the code is too large to enumerate
+
+    @property
+    def guarded(self) -> bool:
+        return self.report is None
 
     @property
     def ok(self) -> bool:
@@ -340,9 +349,9 @@ class SweepSummary:
 def _sweep_one(args: tuple[CyclicSpec, int]) -> SweepRow:
     spec, max_words = args
     try:
-        return SweepRow(spec, False, cross_check(spec, max_words=max_words))
+        return SweepRow(spec, cross_check(spec, max_words=max_words))
     except SizeGuardError:
-        return SweepRow(spec, True, None)
+        return SweepRow(spec, None)
 
 
 def sweep(
@@ -381,7 +390,7 @@ def tabulate(alpha: int, beta: int, type_filter=None) -> SweepSummary:
     sweep's, with verdict ``unchecked``.
     """
     rows = [
-        SweepRow(spec, False, CheckReport(spec, (), None, (), kernel_spec(spec), rank_spec(spec)))
+        SweepRow(spec, CheckReport(spec, (), None, (), kernel_spec(spec), rank_spec(spec)))
         for spec in enumerate_cyclic_specs(alpha, beta, type_filter=type_filter)
     ]
     return SweepSummary(tuple(rows), checked=False)
@@ -391,71 +400,63 @@ CSV_HEADER = ("alpha,beta,b,ell,f,h,g,gamma,delta,kappa,"
               "kernel_dim,rank,k_prime,r,verdict")
 
 
-def csv_row(spec: CyclicSpec, kernel_dim, rank, k_prime, r, verdict: str) -> str:
-    """One line under ``CSV_HEADER``; a guarded row passes empty values."""
-    t = type_from_degrees(spec)
-    cells = (
-        spec.alpha, spec.beta, spec.b, spec.ell, spec.f, spec.h, spec.g,
-        t.gamma, t.delta, t.kappa, kernel_dim, rank, k_prime, r, verdict,
-    )
-    return ",".join(str(c) for c in cells).replace(" ", "")
+def _verdict(passed: bool) -> str:
+    """The verdict word of a record."""
+    return "pass" if passed else "fail"
 
 
-def sweep_rows_csv(summary: SweepSummary) -> str:
-    lines = [CSV_HEADER]
-    for row in summary.rows:
-        rep = row.report
-        if row.guarded:
-            lines.append(csv_row(row.spec, "", "", "", "", "guarded"))
-            continue
-        if not summary.checked:
-            verdict = "unchecked"
-        else:
-            verdict = "pass" if rep.passed else "FAIL:" + "|".join(rep.failures)
-        lines.append(csv_row(row.spec, rep.kernel_dim, rep.rank, rep.k_prime, rep.r,
-                             verdict))
-    return "\n".join(lines) + "\n"
+def _mark(verdict: str) -> str:
+    """Text and CSV print a failing verdict in capitals."""
+    return verdict.upper() if verdict == "fail" else verdict
 
 
 def sweep_rows_json(summary: SweepSummary) -> list[dict]:
+    """One record per row, which ``sweep_text`` and ``csv_row`` render; a
+    guarded row has no closed-form fields, and an unchecked one no verdict."""
     out = []
     for row in summary.rows:
-        s = row.spec
-        t = type_from_degrees(s)
-        d = {**spec_to_dict(s), "type": [t.alpha, t.beta, t.gamma, t.delta, t.kappa]}
+        t = type_from_degrees(row.spec)
+        d = {**spec_to_dict(row.spec), "type": [t.alpha, t.beta, t.gamma, t.delta, t.kappa]}
+        rep = row.report
         if row.guarded:
             d["verdict"] = "guarded"
         else:
-            rep = row.report
-            d.update(
-                kernel_dim=rep.kernel_dim, rank=rep.rank,
-                k_prime=str(rep.k_prime), r=str(rep.r),
-            )
+            d.update(kernel_dim=rep.kernel_dim, rank=rep.rank,
+                     k_prime=str(rep.k_prime), r=str(rep.r))
             if summary.checked:
-                d["verdict"] = "pass" if rep.passed else "fail"
+                d["verdict"] = _verdict(rep.passed)
             if not rep.passed:
-                d["failures"] = list(rep.failures)
-                d["witness"] = rep.witness
+                d.update(failures=list(rep.failures), witness=rep.witness)
         out.append(d)
     return out
 
 
+def csv_row(record: dict) -> str:
+    """One line under ``CSV_HEADER`` from a row record; no verdict reads ``unchecked``."""
+    cells = {**record, **dict(zip(("gamma", "delta", "kappa"), record["type"][2:]))}
+    cells.setdefault("verdict", "unchecked")
+    if "failures" in record:
+        cells["verdict"] = _mark(record["verdict"]) + ":" + "|".join(record["failures"])
+    return ",".join(str(cells.get(k, "")) for k in CSV_HEADER.split(",")).replace(" ", "")
+
+
+def sweep_rows_csv(summary: SweepSummary) -> str:
+    return "\n".join([CSV_HEADER, *map(csv_row, sweep_rows_json(summary))]) + "\n"
+
+
 def sweep_text(summary: SweepSummary) -> str:
     lines = []
-    for row in summary.rows:
-        s = row.spec
-        t = type_from_degrees(s)
-        if row.guarded:
-            lines.append(f"{s}  type {t}  guarded")
-            continue
-        rep = row.report
-        line = (f"{s}  type {t}  ker={rep.kernel_dim} rank={rep.rank} "
-                f"k'=({rep.k_prime}) r=({rep.r})")
-        if summary.checked:
-            line += "  pass" if rep.passed else "  FAIL " + ",".join(rep.failures)
-        lines.append(line)
-        if not rep.passed:
-            lines.append(f"    witness: {rep.witness}")
+    for d in sweep_rows_json(summary):
+        cells = [_spec_text(**d), "type " + _type_text(*d["type"])]
+        if "rank" in d:
+            cells.append("ker={kernel_dim} rank={rank} k'=({k_prime}) r=({r})".format_map(d))
+        if "failures" in d:
+            cells.append(_mark(d["verdict"]) + " " + ",".join(d["failures"]))
+        elif "verdict" in d:
+            cells.append(d["verdict"])
+        lines.append("  ".join(cells))
+        if "witness" in d:
+            lines.append(f"    witness: {d['witness']}")
     if summary.checked:
         lines.append(
             f"{summary.total} specs checked, {summary.guarded} guarded, "
@@ -756,21 +757,21 @@ def paper_suite() -> SuiteReport:
 
 
 def suite_text(report: SuiteReport, strict: bool = False) -> str:
+    """The text view of ``suite_json``'s record."""
+    doc = suite_json(report, strict=strict)
     lines = []
-    for f in report.fixtures:
-        status = "pass" if f.passed else "FAIL"
-        if f.flagged:
-            status += " (flagged)"
-        lines.append(f"{f.fixture_id}  {f.title}: {status}")
-        for d in f.details:
-            lines.append(f"    {d}")
-    verdict = "ok" if report.ok(strict=strict) else "failed"
-    lines.append(f"suite {verdict}"
-                 + (f", flagged: {', '.join(report.flagged)}" if report.flagged else ""))
+    for f in doc["fixtures"]:
+        status = _mark(_verdict(f["passed"])) + (" (flagged)" if f["flagged"] else "")
+        lines.append(f"{f['id']}  {f['title']}: {status}")
+        lines.extend(f"    {d}" for d in f["details"])
+    flagged = ", ".join(f["id"] for f in doc["fixtures"] if f["flagged"])
+    lines.append(f"suite {'ok' if doc['ok'] else 'failed'}"
+                 + (f", flagged: {flagged}" if flagged else ""))
     return "\n".join(lines) + "\n"
 
 
 def suite_json(report: SuiteReport, strict: bool = False) -> dict:
+    """The record of a suite run; its text and CSV views render this."""
     return {
         "fixtures": [
             {

@@ -199,7 +199,7 @@ def test_failing_row_rendering():
         spec, (("cardinality", True), ("kernel-dim", False)),
         "kernel-dim: closed 3, oracle 2", (), kernel_spec(spec), rank_spec(spec),
     )
-    summary = SweepSummary((SweepRow(spec, False, rep),))
+    summary = SweepSummary((SweepRow(spec, rep),))
     assert not summary.passed
     assert sweep_rows_csv(summary).splitlines()[1] == (
         "1,3,1+x,1,1,3+x,1+x+x^2,1,2,1,3,6,1+x+x^2,1,FAIL:kernel-dim"

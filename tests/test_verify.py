@@ -1,6 +1,7 @@
 """Cross-check harness, sweep driver, and reference fixture suite."""
 
 import dataclasses
+import hashlib
 from collections import Counter
 
 import pytest
@@ -133,6 +134,30 @@ def test_failing_set_check_still_names_its_witness_word(monkeypatch):
 def test_check_names_are_stable():
     report = cross_check(_mixed_3())
     assert tuple(name for name, _ in report.checks) == CHECK_NAMES
+
+
+def test_budget_below_the_span_skips_the_rank_set_group():
+    # |C| = 2^5 fits the budget; the lifted span, 2^rank = 2^6 words, does not
+    report = cross_check(_mixed_3(), max_words=32)
+    assert report.rank == 6
+    assert report.passed
+    assert report.skipped == ("rank-set", "rank-cyclic", "code-in-span", "span-projection")
+    assert [n for n, _ in report.checks] == [n for n in CHECK_NAMES if n not in report.skipped]
+
+
+def test_sweep_verdicts_digest():
+    # checks, skips and witnesses of every row; guarded rows (186 of the
+    # 640) read None, 51 rows skip the rank-set group, 295 are separable
+    summary = sweep(alpha_max=3, betas=(1, 3, 5, 7), max_words=256)
+    digest = hashlib.sha256()
+    for row in summary.rows:
+        rep = row.report
+        key = None if row.guarded else (str(row.spec), rep.checks, rep.skipped, rep.witness)
+        digest.update(repr(key).encode())
+    assert (summary.total, summary.guarded) == (640, 186)
+    assert digest.hexdigest() == (
+        "dd457637aa7f66b78acaf7a4bbadc851489bce5d018d828ec2c155d4e20b56ee"
+    )
 
 
 def test_sweep_is_deterministic():

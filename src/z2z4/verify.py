@@ -8,6 +8,12 @@ examples this code base was validated against, including one fixture
 whose published value contradicts the verified one and is therefore
 reported as flagged rather than asserted.
 
+The checks are the rows of ``_CHECKS``, in report order; each reads the
+objects of one ``_SpecObjects``, which the paper-suite fixtures share.
+``cross_check`` enumerates the code before the first check, so a code
+over the word budget raises ``SizeGuardError`` (a guarded sweep row);
+a check that raises it later is listed as skipped.
+
 ``sweep_rows_json`` and ``suite_json`` build the JSON records that the
 text and CSV views (``sweep_text``, ``csv_row``, ``suite_text``) render.
 Verdict words come from ``_verdict``; ``_mark`` spells a failure FAIL.
@@ -15,9 +21,8 @@ Verdict words come from ``_verdict``; ``_mark`` spells a failure FAIL.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from multiprocessing import Pool
 
 import numpy as np
@@ -153,155 +158,152 @@ def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 4096) -> bo
     return True
 
 
+class _SpecObjects:
+    """What the checks of one spec compare, each object built on its first
+    read and kept.  Builders look library functions up through this
+    module's names when they run, so a rebound name sees every call."""
+
+    def __init__(self, spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS):
+        self.spec, self.max_words = spec, max_words
+
+    def build(self, spec: CyclicSpec) -> AdditiveCode:
+        return materialize(spec, max_words=self.max_words)
+
+    def lift(self, span: BinaryCode, alpha: int) -> AdditiveCode:
+        return gray_preimage(span, alpha, self.spec.beta, self.max_words)
+
+    t = cached_property(lambda o: type_from_degrees(o.spec))
+    code = cached_property(lambda o: o.build(o.spec))
+    sf = cached_property(lambda o: standard_form(o.code))
+    kres = cached_property(lambda o: kernel_spec(o.spec))
+    kcode = cached_property(lambda o: o.build(o.kres.spec))
+    koracle = cached_property(lambda o: kernel_bruteforce(o.code))
+    kdim = cached_property(lambda o: _log2(o.koracle.size))
+    subcodes = cached_property(lambda o: [o.build(linear_subcode_spec(o.spec, k))
+                                          for k in o.kres.minimal_divisors])
+    sres = cached_property(lambda o: span_bruteforce(o.code))
+    rres = cached_property(lambda o: rank_spec(o.spec))
+    rcode = cached_property(lambda o: o.build(o.rres.spec))
+    lifted = cached_property(lambda o: o.lift(o.sres.binary_span, o.spec.alpha))
+    px = cached_property(lambda o: o.code.project_x())
+    cy = cached_property(lambda o: o.code.project_y())
+    ky = cached_property(lambda o: kernel_bruteforce(o.cy))
+    yres = cached_property(lambda o: span_bruteforce(o.cy))
+    cpy = cached_property(lambda o: AdditiveCode(
+        o.spec.alpha, o.spec.beta, o.sf.c_prime_words(), max_words=o.max_words).project_y())
+    kcpy = cached_property(lambda o: _log2(kernel_bruteforce(o.cpy).size))
+    rcpy = cached_property(lambda o: span_bruteforce(o.cpy).rank)
+
+    def expected_x(self) -> BinaryCode:
+        a = self.spec.alpha
+        d = gcd2(self.spec.b, self.spec.ell) % xn_minus_1(a)
+        return BinaryCode.from_masks(a, (rotate_mask(d.bits, i, a) for i in range(a)))
+
+    def expected_y(self) -> AdditiveCode:
+        s = self.spec
+        gen = poly_word(0, s.beta, BIN_ZERO, s.f * s.h + 2 * s.f)
+        return AdditiveCode(0, s.beta, shift_orbit(gen, s.beta), max_words=self.max_words)
+
+    def three_generator_code(self) -> AdditiveCode:
+        s = self.spec
+        w1, w2, w3 = three_generator_words(s)
+        return AdditiveCode(
+            s.alpha, s.beta,
+            shift_orbit(w1, s.alpha) + shift_orbit(w2, s.beta) + shift_orbit(w3, s.beta),
+            max_words=self.max_words,
+        )
+
+
+# (name, test, note): ``test`` and ``note`` read a ``_SpecObjects``; a
+# note is built for the first failing check only, as its witness
+_CHECKS = (
+    ("cardinality", lambda o: o.code.size == cardinality(o.spec) == o.t.size,
+     lambda o: f"enumerated {o.code.size}, degrees predict {cardinality(o.spec)}"),
+    ("type-structure", lambda o: o.code.code_type() == o.t,
+     lambda o: f"basis says {o.code.code_type()}, degrees say {o.t}"),
+    ("type-counting", lambda o: type_by_counting(o.code) == o.t,
+     lambda o: f"counting says {type_by_counting(o.code)}, degrees say {o.t}"),
+    ("shift-invariance", lambda o: o.code.is_cyclic(), None),
+    ("gray-identity", lambda o: _gray_identity_holds(o.code), None),
+    ("standard-form", lambda o: (o.sf.kappa1, o.sf.kappa2, o.sf.gamma, o.sf.delta)
+     == (o.t.kappa1, o.t.kappa2, o.t.gamma, o.t.delta), None),
+    # linearity, four ways
+    ("linearity", lambda o: gray_linear(o.spec) == is_gray_linear_bruteforce(o.code)
+     == (o.sres.rank == o.t.gamma + 2 * o.t.delta) == (o.kdim == o.t.gamma + 2 * o.t.delta),
+     lambda o: f"closed {gray_linear(o.spec)}, closure oracle "
+               f"{is_gray_linear_bruteforce(o.code)}, rank {o.sres.rank}, kernel dim {o.kdim}"),
+    # kernel
+    ("kernel-set", lambda o: o.kcode == o.koracle,
+     lambda o: _first_difference(o.kcode, o.koracle)),
+    ("kernel-dim", lambda o: o.kres.dimension == o.kdim,
+     lambda o: f"closed {o.kres.dimension}, oracle {o.kdim}"),
+    ("kernel-cyclic", lambda o: o.koracle.is_cyclic(), None),
+    ("kernel-in-code", lambda o: o.kcode.is_subcode_of(o.code), None),
+    ("kernel-candidates", lambda o: o.kres.dimension in kernel_dim_candidates(o.t),
+     lambda o: f"dim {o.kres.dimension} not among {kernel_dim_candidates(o.t)}"),
+    ("kernel-bounds",
+     lambda o: o.t.gamma + o.t.delta <= o.kres.dimension <= o.t.gamma + 2 * o.t.delta, None),
+    ("kernel-intersection",
+     lambda o: bool(np.array_equal(_meet(o.subcodes), o.koracle.words())), None),
+    ("maximal-subcodes-linear",
+     lambda o: all(is_gray_linear_bruteforce(sub) for sub in o.subcodes), None),
+    # projections
+    ("x-projection", lambda o: o.px == o.expected_x(), None),
+    ("y-projection", lambda o: o.cy == o.expected_y(), None),
+    ("y-projection-size",
+     lambda o: o.cy.size == (1 << (o.t.gamma - o.t.kappa1)) << (2 * o.t.delta), None),
+    ("kernel-projection", lambda o: o.koracle.project_y().is_subcode_of(o.ky), None),
+    ("kernel-upper-bound", lambda o: o.kdim <= o.t.kappa1 + _log2(o.ky.size), None),
+    ("kernel-decomposition", lambda o: o.kdim == o.t.kappa1 + o.t.kappa2 + o.kcpy,
+     lambda o: f"dim {o.kdim} != {o.t.kappa1} + {o.t.kappa2} + {o.kcpy}"),
+    # rank
+    ("rank-value", lambda o: o.rres.rank == o.sres.rank,
+     lambda o: f"closed {o.rres.rank}, oracle {o.sres.rank}"),
+    ("rank-candidates", lambda o: o.rres.rank in rank_candidates(o.t),
+     lambda o: f"rank {o.rres.rank} not among {rank_candidates(o.t)}"),
+    ("rank-lower-bound", lambda o: o.sres.rank >= o.t.kappa1 + o.yres.rank, None),
+    ("rank-decomposition", lambda o: o.sres.rank == o.t.kappa1 + o.t.kappa2 + o.rcpy,
+     lambda o: f"rank {o.sres.rank} != {o.t.kappa1} + {o.t.kappa2} + {o.rcpy}"),
+    ("rank-set", lambda o: o.rcode == o.lifted,
+     lambda o: _first_difference(o.rcode, o.lifted)),
+    ("rank-cyclic", lambda o: o.lifted.is_cyclic(), None),
+    ("code-in-span", lambda o: o.code.is_subcode_of(o.lifted), None),
+    ("span-projection", lambda o: o.lifted.project_y() == o.lift(o.yres.binary_span, 0), None),
+    # alternative generator forms
+    ("order-two-subcode",
+     lambda o: o.build(order_two_spec(o.spec)) == o.code.order_two_subcode(), None),
+    ("three-generators", lambda o: o.three_generator_code() == o.code, None),
+    # separable codes only; ``cross_check`` drops these three rows otherwise
+    ("separable-product", lambda o: o.code == product_code(o.px, o.cy), None),
+    ("separable-kernel", lambda o: o.kdim == o.px.dim + _log2(o.ky.size), None),
+    ("separable-rank", lambda o: o.sres.rank == o.px.dim + o.yres.rank, None),
+)
+
+
 def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckReport:
     """Run every closed-form-versus-enumeration comparison on one spec.
 
     Raises ``SizeGuardError`` when the code itself is too large to
-    enumerate; checks that would only need a larger companion object
-    (the lifted span) are skipped and reported as such instead.
+    enumerate.  A check that raises it afterwards needs a larger
+    companion object (the lifted span) and is skipped and reported as
+    such instead.
     """
+    o = _SpecObjects(spec, max_words)
+    o.code.words()  # the code's own guard; no other object is larger but the span
+    table = _CHECKS if o.code.is_separable() else _CHECKS[:-3]
     checks: list[tuple[str, bool]] = []
     skipped: list[str] = []
     witness: str | None = None
-
-    def add(name: str, ok: bool, note: str | Callable[[], str] | None = None) -> None:
-        # a callable note is only built for the witness of a failed check
-        nonlocal witness
+    for name, test, note in table:
+        try:
+            ok = test(o)
+        except SizeGuardError:
+            skipped.append(name)
+            continue
         checks.append((name, ok))
         if not ok and witness is None:
-            if callable(note):
-                note = note()
-            witness = f"{name}: {note}" if note else name
-
-    t = type_from_degrees(spec)
-    code = materialize(spec, max_words=max_words)
-    add("cardinality", code.size == cardinality(spec) == t.size,
-        f"enumerated {code.size}, degrees predict {cardinality(spec)}")
-
-    tc = code.code_type()
-    add("type-structure", tc == t, f"basis says {tc}, degrees say {t}")
-    tn = type_by_counting(code)
-    add("type-counting", tn == t, f"counting says {tn}, degrees say {t}")
-
-    add("shift-invariance", code.is_cyclic())
-    add("gray-identity", _gray_identity_holds(code))
-
-    sf = standard_form(code)
-    add("standard-form", (sf.kappa1, sf.kappa2, sf.gamma, sf.delta)
-        == (t.kappa1, t.kappa2, t.gamma, t.delta))
-
-    # linearity, four ways
-    closed_linear = gray_linear(spec)
-    oracle_linear = is_gray_linear_bruteforce(code)
-    kres = kernel_spec(spec)
-    koracle = kernel_bruteforce(code)
-    kdim_oracle = _log2(koracle.size)
-    sres = span_bruteforce(code)
-    add("linearity", closed_linear == oracle_linear
-        == (sres.rank == t.gamma + 2 * t.delta)
-        == (kdim_oracle == t.gamma + 2 * t.delta),
-        f"closed {closed_linear}, closure oracle {oracle_linear}, "
-        f"rank {sres.rank}, kernel dim {kdim_oracle}")
-
-    # kernel
-    kcode = materialize(kres.spec, max_words=max_words)
-    add("kernel-set", kcode == koracle, lambda: _first_difference(kcode, koracle))
-    add("kernel-dim", kres.dimension == kdim_oracle,
-        f"closed {kres.dimension}, oracle {kdim_oracle}")
-    add("kernel-cyclic", koracle.is_cyclic())
-    add("kernel-in-code", kcode.is_subcode_of(code))
-    add("kernel-candidates", kres.dimension in kernel_dim_candidates(t),
-        f"dim {kres.dimension} not among {kernel_dim_candidates(t)}")
-    add("kernel-bounds", t.gamma + t.delta <= kres.dimension <= t.gamma + 2 * t.delta)
-
-    subcodes = [materialize(linear_subcode_spec(spec, k), max_words=max_words)
-                for k in kres.minimal_divisors]
-    meet = _meet(subcodes)
-    add("kernel-intersection", len(meet) == koracle.size
-        and bool(np.array_equal(meet, koracle.words())))
-    add("maximal-subcodes-linear",
-        all(is_gray_linear_bruteforce(sub) for sub in subcodes))
-
-    # projections
-    px = code.project_x()
-    d = gcd2(spec.b, spec.ell) % xn_minus_1(spec.alpha)
-    expected_x = BinaryCode.from_masks(
-        spec.alpha, (rotate_mask(d.bits, i, spec.alpha) for i in range(spec.alpha))
-    )
-    add("x-projection", px == expected_x)
-
-    cy = code.project_y()
-    expected_y = AdditiveCode(
-        0, spec.beta,
-        shift_orbit(poly_word(0, spec.beta, BIN_ZERO, spec.f * spec.h + 2 * spec.f),
-                    spec.beta),
-        max_words=max_words,
-    )
-    add("y-projection", cy == expected_y)
-    add("y-projection-size", cy.size == (1 << (t.gamma - t.kappa1)) << (2 * t.delta))
-
-    ky = kernel_bruteforce(cy)
-    kydim = _log2(ky.size)
-    add("kernel-projection", koracle.project_y().is_subcode_of(ky))
-    add("kernel-upper-bound", kdim_oracle <= t.kappa1 + kydim)
-
-    cprime = AdditiveCode(
-        spec.alpha, spec.beta, sf.c_prime_words(), max_words=max_words
-    )
-    cpy = cprime.project_y()
-    kcpy = _log2(kernel_bruteforce(cpy).size)
-    add("kernel-decomposition", kdim_oracle == t.kappa1 + t.kappa2 + kcpy,
-        f"dim {kdim_oracle} != {t.kappa1} + {t.kappa2} + {kcpy}")
-
-    # rank
-    rres = rank_spec(spec)
-    add("rank-value", rres.rank == sres.rank,
-        f"closed {rres.rank}, oracle {sres.rank}")
-    add("rank-candidates", rres.rank in rank_candidates(t),
-        f"rank {rres.rank} not among {rank_candidates(t)}")
-    yres = span_bruteforce(cy)
-    ry = yres.rank
-    add("rank-lower-bound", sres.rank >= t.kappa1 + ry)
-    rcpy = span_bruteforce(cpy).rank
-    add("rank-decomposition", sres.rank == t.kappa1 + t.kappa2 + rcpy,
-        f"rank {sres.rank} != {t.kappa1} + {t.kappa2} + {rcpy}")
-
-    if (1 << sres.rank) <= max_words:
-        lifted = gray_preimage(sres.binary_span, spec.alpha, spec.beta, max_words)
-        rcode = materialize(rres.spec, max_words=max_words)
-        add("rank-set", rcode == lifted, lambda: _first_difference(rcode, lifted))
-        add("rank-cyclic", lifted.is_cyclic())
-        add("code-in-span", code.is_subcode_of(lifted))
-        ylift = gray_preimage(yres.binary_span, 0, spec.beta, max_words)
-        add("span-projection", lifted.project_y() == ylift)
-    else:
-        skipped.extend(["rank-set", "rank-cyclic", "code-in-span", "span-projection"])
-
-    # alternative generator forms
-    add("order-two-subcode",
-        materialize(order_two_spec(spec), max_words=max_words)
-        == code.order_two_subcode())
-    w1, w2, w3 = three_generator_words(spec)
-    three = AdditiveCode(
-        spec.alpha, spec.beta,
-        shift_orbit(w1, spec.alpha) + shift_orbit(w2, spec.beta) + shift_orbit(w3, spec.beta),
-        max_words=max_words,
-    )
-    add("three-generators", three == code)
-
-    if code.is_separable():
-        add("separable-product", code == product_code(px, cy))
-        add("separable-kernel", kdim_oracle == px.dim + kydim)
-        add("separable-rank", sres.rank == px.dim + ry)
-
-    return CheckReport(
-        spec=spec,
-        checks=tuple(checks),
-        witness=witness,
-        skipped=tuple(skipped),
-        kernel_result=kres,
-        rank_result=rres,
-    )
+            witness = f"{name}: {note(o)}" if note else name
+    return CheckReport(spec, tuple(checks), witness, tuple(skipped), o.kres, o.rres)
 
 
 # ---------------------------------------------------------------------------
@@ -522,33 +524,29 @@ def _fx_standard_matrices() -> tuple[bool, list[str]]:
     spec = cyclic_spec(1, 3, BinPoly.parse("x + 1"), BinPoly.parse("1"),
                        QuatPoly.parse("1"), QuatPoly.parse("x + 3"),
                        QuatPoly.parse("x^2 + x + 1"))
-    t = type_from_degrees(spec)
-    _require(str(t) == "(1, 3; 1, 2; 1)", f"type is {t}")
-    code = materialize(spec)
-    rows = _matrix_lines(code)
+    o = _SpecObjects(spec)
+    _require(str(o.t) == "(1, 3; 1, 2; 1)", f"type is {o.t}")
+    rows = _matrix_lines(o.code)
     _require(rows == ("1 2 0 0", "0 3 1 0", "0 3 0 1"),
              f"standard form of the code is {rows}")
 
-    kres = kernel_spec(spec)
-    _require(kres.dimension == 3, f"kernel dimension {kres.dimension}")
-    kcode = materialize(kres.spec)
-    _require(kcode == kernel_bruteforce(code), "kernel mismatch")
-    krows = _matrix_lines(kcode)
+    _require(o.kres.dimension == 3, f"kernel dimension {o.kres.dimension}")
+    _require(o.kcode == o.koracle, "kernel mismatch")
+    krows = _matrix_lines(o.kcode)
     _require(krows == ("1 2 0 0", "0 2 2 0", "0 2 0 2"),
              f"standard form of the kernel is {krows}")
 
     single = AdditiveCode(1, 3, shift_orbit(Word.parse("1|200"), 3))
-    _require(kcode == single, "kernel is not the cyclic span of (1 | 2)")
+    _require(o.kcode == single, "kernel is not the cyclic span of (1 | 2)")
 
-    ky = kernel_bruteforce(code.project_y())
-    _require(ky == code.project_y(), "quaternary projection should be its own kernel")
-    kproj = kcode.project_y()
-    _require(kproj.is_subcode_of(ky) and kproj.size < ky.size,
+    _require(o.ky == o.cy, "quaternary projection should be its own kernel")
+    kproj = o.kcode.project_y()
+    _require(kproj.is_subcode_of(o.ky) and kproj.size < o.ky.size,
              "projected kernel should sit strictly inside the projection kernel")
-    prod = product_code(code.project_x(), ky)
-    _require(kcode.is_subcode_of(prod) and kcode.size < prod.size,
+    prod = product_code(o.px, o.ky)
+    _require(o.kcode.is_subcode_of(prod) and o.kcode.size < prod.size,
              "kernel should sit strictly inside the product code")
-    return False, [f"type {t}, kernel dim 3", *rows, "kernel:", *krows]
+    return False, [f"type {o.t}, kernel dim 3", *rows, "kernel:", *krows]
 
 
 def _listed_sweep_specs() -> tuple[list[CyclicSpec], list[CyclicSpec]]:
@@ -602,26 +600,22 @@ def _fx_kernel_sweep() -> tuple[bool, list[str]]:
 def _fx_maximal_subcodes() -> tuple[bool, list[str]]:
     spec = cyclic_spec(1, 7, BinPoly.parse("1"), BinPoly.parse("0"),
                        X_MINUS_1, QuatPoly.parse("1"), P3 * Q3)
-    t = type_from_degrees(spec)
-    _require(str(t) == "(1, 7; 1, 6; 1)", f"type is {t}")
-    kres = kernel_spec(spec)
-    _require(set(kres.minimal_divisors) == {P3, Q3},
-             f"minimal divisors {kres.minimal_divisors}")
-    _require(kres.k_prime == P3 * Q3, f"k' = {kres.k_prime}")
-    _require(kres.dimension == 7, f"kernel dim {kres.dimension}")
-    code = materialize(spec)
-    kcode = materialize(kres.spec)
-    _require(kcode == kernel_bruteforce(code), "kernel mismatch")
+    o = _SpecObjects(spec)
+    _require(str(o.t) == "(1, 7; 1, 6; 1)", f"type is {o.t}")
+    _require(set(o.kres.minimal_divisors) == {P3, Q3},
+             f"minimal divisors {o.kres.minimal_divisors}")
+    _require(o.kres.k_prime == P3 * Q3, f"k' = {o.kres.k_prime}")
+    _require(o.kres.dimension == 7, f"kernel dim {o.kres.dimension}")
+    _require(o.kcode == o.koracle, "kernel mismatch")
     expected = AdditiveCode(1, 7, [
         Word.parse("1|0000000"),
         *shift_orbit(poly_word(1, 7, BIN_ZERO, spec.f * 2), 7),
     ])
-    _require(kcode == expected, "kernel is not the doubled-generator code")
-    subs = [materialize(linear_subcode_spec(spec, k)) for k in kres.minimal_divisors]
-    _require(len(subs) == 2, f"{len(subs)} maximal subcodes")
-    _require(bool(np.array_equal(_meet(subs), kcode.words())),
+    _require(o.kcode == expected, "kernel is not the doubled-generator code")
+    _require(len(o.subcodes) == 2, f"{len(o.subcodes)} maximal subcodes")
+    _require(bool(np.array_equal(_meet(o.subcodes), o.kcode.words())),
              "kernel is not the intersection of the maximal subcodes")
-    return False, [f"type {t}, minimal divisors of degree 3, k' of degree 6, "
+    return False, [f"type {o.t}, minimal divisors of degree 3, k' of degree 6, "
                    f"kernel dim 7"]
 
 
@@ -638,8 +632,7 @@ def _fx_rank_sweep() -> tuple[bool, list[str]]:
         _require(rep.r.divides(s.f), f"r = {rep.r} does not divide f = {s.f}")
         if s.g == P3:
             _require(rep.r == Q3, f"with g fixed to ({P3}), r must be ({Q3})")
-        rr = rank_spec(s)
-        _require(rr.spec.b == s.b, "the binary divisor should survive here")
+        _require(rep.rank_result.spec.b == s.b, "the binary divisor should survive here")
     return False, [
         f"{len(checked)} specs of type (2, 7; 2, 3; *), rank 11 throughout",
         "candidates 8, 9, 10 never attained; r is the degree-3 divisor of f",
@@ -650,20 +643,18 @@ def _fx_rank_erosion() -> tuple[bool, list[str]]:
     spec = cyclic_spec(3, 7, BinPoly.parse("x + 1"), BinPoly.parse("1"),
                        QuatPoly.parse("1"), QuatPoly.parse("x + 3"), P3 * Q3)
     _require(not gray_linear(spec), "image should not be linear")
-    rres = rank_spec(spec)
-    _require(rres.r == QuatPoly.parse("1"), f"r = {rres.r}")
-    _require(rres.spec.b == BinPoly.parse("1"), f"b_r = {rres.spec.b}")
-    _require(rres.spec.ell == BinPoly.parse("0"), f"ell_r = {rres.spec.ell}")
-    _require(rres.rank == 16, f"rank {rres.rank}")
-    code = materialize(spec)
-    lifted = gray_preimage(span_bruteforce(code).binary_span, 3, 7)
-    _require(materialize(rres.spec) == lifted, "span preimage mismatch")
+    o = _SpecObjects(spec)
+    _require(o.rres.r == QuatPoly.parse("1"), f"r = {o.rres.r}")
+    _require(o.rres.spec.b == BinPoly.parse("1"), f"b_r = {o.rres.spec.b}")
+    _require(o.rres.spec.ell == BinPoly.parse("0"), f"ell_r = {o.rres.spec.ell}")
+    _require(o.rres.rank == 16, f"rank {o.rres.rank}")
+    _require(o.rcode == o.lifted, "span preimage mismatch")
     expected = AdditiveCode(3, 7, [
         Word.parse("100|0000000"), Word.parse("010|0000000"),
         Word.parse("001|0000000"),
         *shift_orbit(poly_word(3, 7, BIN_ZERO, spec.h + spec.f * 2), 7),
     ])
-    _require(lifted == expected, "span is not the expected two-generator code")
+    _require(o.lifted == expected, "span is not the expected two-generator code")
     return False, ["b erodes to 1 in the span: rank 16 against code dimension 15"]
 
 
@@ -674,14 +665,12 @@ def _fx_hensel_lift() -> tuple[bool, list[str]]:
     f = target
     h = X_MINUS_1 * QuatPoly.parse("x^4 + x^3 + x^2 + x + 1")
     g = xn_minus_1_z4(15) // (f * h)
-    spec = cyclic_spec(3, 15, BinPoly.parse("x + 1"), BinPoly.parse("1"), f, h, g)
-    rres = rank_spec(spec)
-    _require(rres.r == f, f"r = {rres.r} should equal f")
-    _require(rres.spec.b == BinPoly.parse("1"), f"b_r = {rres.spec.b}")
-    _require(rres.spec.ell == BinPoly.parse("0"), f"ell_r = {rres.spec.ell}")
-    _require(rres.rank == 24, f"rank {rres.rank}")
-    code = materialize(spec)
-    _require(span_bruteforce(code).rank == 24, "oracle rank disagrees")
+    o = _SpecObjects(cyclic_spec(3, 15, BinPoly.parse("x + 1"), BinPoly.parse("1"), f, h, g))
+    _require(o.rres.r == f, f"r = {o.rres.r} should equal f")
+    _require(o.rres.spec.b == BinPoly.parse("1"), f"b_r = {o.rres.spec.b}")
+    _require(o.rres.spec.ell == BinPoly.parse("0"), f"ell_r = {o.rres.spec.ell}")
+    _require(o.rres.rank == 24, f"rank {o.rres.rank}")
+    _require(o.sres.rank == 24, "oracle rank disagrees")
     return False, [f"lift of x^4 + x + 1 at length 15 is ({target}); "
                    f"r = f and the rank is 24"]
 
@@ -710,18 +699,15 @@ def _fx_non_cyclic() -> tuple[bool, list[str]]:
 def _fx_printed_rank_erratum() -> tuple[bool, list[str]]:
     spec = cyclic_spec(3, 7, BinPoly.parse("x + 1"), BinPoly.parse("0"),
                        X_MINUS_1, QuatPoly.parse("1"), P3 * Q3)
-    rres = rank_spec(spec)
-    _require(rres.spec.b == spec.b, f"b_r = {rres.spec.b} should equal b")
-    _require(rres.r == spec.f, f"r = {rres.r} should equal f")
-    _require(rres.rank == 15, f"rank {rres.rank}")
-    code = materialize(spec)
-    sres = span_bruteforce(code)
-    lifted = gray_preimage(sres.binary_span, 3, 7)
-    _require(materialize(rres.spec) == lifted, "span preimage mismatch")
-    _require(sres.rank == 15, "oracle rank disagrees")
+    o = _SpecObjects(spec)
+    _require(o.rres.spec.b == spec.b, f"b_r = {o.rres.spec.b} should equal b")
+    _require(o.rres.r == spec.f, f"r = {o.rres.r} should equal f")
+    _require(o.rres.rank == 15, f"rank {o.rres.rank}")
+    _require(o.rcode == o.lifted, "span preimage mismatch")
+    _require(o.sres.rank == 15, "oracle rank disagrees")
     printed = cyclic_spec(3, 7, BinPoly.parse("1"), BinPoly.parse("0"),
                           QuatPoly.parse("1"), X_MINUS_1, P3 * Q3)
-    _require(materialize(printed) != lifted,
+    _require(materialize(printed) != o.lifted,
              "the published generator pair should not match the span")
     return True, [
         "with no binary mixing the binary divisor survives into the span:",

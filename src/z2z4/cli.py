@@ -230,7 +230,10 @@ def _analysis_csv(a: dict) -> str:
     row = {**a["spec"], "type": a["type"], "kernel_dim": a["kernel"]["dim"],
            "rank": a["rank"]["rank"], "k_prime": a["kernel"]["k_prime"], "r": a["rank"]["r"]}
     if "verify" in a:
-        row["verdict"] = _verdict(a["verify"]["passed"])
+        v = a["verify"]
+        row["verdict"] = _verdict(v["passed"])
+        if not v["passed"]:
+            row["failures"] = [c["name"] for c in v["checks"] if not c["passed"]]
     return f"{CSV_HEADER}\n{csv_row(row)}\n"
 
 
@@ -257,23 +260,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     packed = code.words()
     grays = gray_array(packed, code.alpha, code.beta)
     width = code.alpha + 2 * code.beta
-    rows = [
-        (str(Word.from_packed(int(p), code.alpha, code.beta)),
-         _gray_bits(int(m), width))
-        for p, m in zip(packed, grays)
-    ]
+    # made one at a time as they print: the texts take about 220 bytes a word
+    rows = ((str(Word.from_packed(int(p), code.alpha, code.beta)), _gray_bits(int(m), width))
+            for p, m in zip(packed, grays))
     if args.format == "json":
-        print(json.dumps({
-            "spec": spec_to_dict(spec),
-            "size": len(rows),
-            "words": [{"word": w, "gray": g} for w, g in rows],
-        }))
+        head = json.dumps({"spec": spec_to_dict(spec), "size": len(packed), "words": []})
+        print(head[:-2], end="")
+        for i, (w, g) in enumerate(rows):
+            print(", " * (i > 0) + json.dumps({"word": w, "gray": g}), end="")
+        print("]}")
     elif args.format == "csv":
         print("word,gray")
         for w, g in rows:
             print(f"{w},{g}")
     else:
-        print(f"{len(rows)} words of {spec}")
+        print(f"{len(packed)} words of {spec}")
         for w, g in rows:
             print(f"  {w}  ->  {g}")
     return EXIT_OK

@@ -102,7 +102,8 @@ def test_analyze_renders_a_failing_report(monkeypatch, capsys):
     verify_flags = ["analyze", *F2_FLAGS, "--verify", "--format"]
     rc, out, err = _run(capsys, [*verify_flags, "csv"])
     assert (rc, err) == (1, "")
-    assert out.splitlines()[1] == "1,3,1+x,1,1,3+x,1+x+x^2,1,2,1,3,6,1+x+x^2,1,fail"
+    # spelled as search --verify spells a failing row
+    assert out.splitlines()[1] == "1,3,1+x,1,1,3+x,1+x+x^2,1,2,1,3,6,1+x+x^2,1,FAIL:kernel-dim"
     rc, out, err = _run(capsys, [*verify_flags, "json"])
     assert (rc, err) == (1, "")
     doc = json.loads(out)["verify"]

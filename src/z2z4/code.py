@@ -18,7 +18,10 @@ Enumeration is only used by the brute-force oracles, guarded by
 Every GF(2) elimination (the order-2 stage of ``group_basis``, the
 standard form, binary codes and type counting) goes through
 ``_f2_rref_with_trace``; ``_echelon_uint64`` only pre-reduces numpy mask
-arrays for it.
+arrays for it.  It reduces a large array ``_BLOCK_WORDS`` masks at a
+time by the pivots found so far and stops at full rank, because a pass
+over a whole array of a million words streams it through main memory,
+while a block's temporaries stay in cache.
 
 Set operations on sorted packed arrays (deduplication, membership,
 intersection) go through ``_sorted_unique`` and ``_isin_sorted``, and
@@ -39,6 +42,9 @@ import numpy as np
 from .errors import SizeGuardError
 
 DEFAULT_MAX_WORDS = 1 << 24
+# words per block of the blocked array passes: one uint64 temporary of
+# a block is 128 KiB, small enough to stay in a core's L2 cache
+_BLOCK_WORDS = 1 << 14
 AMBIENT_BIT_LIMIT = 62
 
 
@@ -546,20 +552,30 @@ class CodeType:
 
 
 def _echelon_uint64(masks: np.ndarray, length: int) -> list[int]:
-    """Row echelon pivots of a mask array, one vectorized pass per bit."""
-    work = masks[masks != 0]
-    out: list[int] = []
-    for bit in range(length - 1, -1, -1):
-        if work.size == 0:
+    """Row echelon pivots of a mask array, in descending leading-bit order.
+
+    The array is taken ``_BLOCK_WORDS`` masks at a time, one vectorized
+    pass per bit: a bit that already has a pivot clears it from the
+    block, any other bit takes its pivot from the block.  Blocks stop
+    once every bit has a pivot.
+    """
+    pivots: dict[int, int] = {}
+    for start in range(0, len(masks), _BLOCK_WORDS):
+        if len(pivots) == length:
             break
-        hit = (work & _u64(1 << bit)) != 0
-        if not bool(hit.any()):
-            continue
-        pivot = int(work[int(np.argmax(hit))])
-        out.append(pivot)
-        work = np.where(hit, work ^ _u64(pivot), work)
+        work = masks[start:start + _BLOCK_WORDS]
         work = work[work != 0]
-    return out
+        for bit in range(length - 1, -1, -1):
+            if work.size == 0:
+                break
+            hit = (work & _u64(1 << bit)) != 0
+            if not bool(hit.any()):
+                continue
+            if bit not in pivots:
+                pivots[bit] = int(work[int(np.argmax(hit))])
+            work = np.where(hit, work ^ _u64(pivots[bit]), work)
+            work = work[work != 0]
+    return [pivots[bit] for bit in sorted(pivots, reverse=True)]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .code import (
     DEFAULT_MAX_WORDS,
+    _BLOCK_WORDS,
     AdditiveCode,
     BinaryCode,
     Word,
@@ -140,21 +141,29 @@ def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 4096) -> bo
     order-two correction term is a plain high-plane flip, written out
     here rather than taken from ``_star2_array``, which the adder itself
     uses, so that a wrong carry cannot cancel out of the check.
+
+    Every word is a probe up to ``exhaustive_limit`` words, the basis
+    words beyond it.  The code's words are taken ``_BLOCK_WORDS`` at a
+    time, and every probe runs over one block before the next: each
+    elementwise pass then reads and writes a cache-sized temporary
+    instead of streaming the whole array through memory.
     """
     arr = code.words()
     alpha, beta = code.alpha, code.beta
-    masks = gray_array(arr, alpha, beta)
     if len(arr) <= exhaustive_limit:
         probes = [Word.from_packed(int(p), alpha, beta) for p in arr]
     else:
         probes = list(code.basis_words())
     shift = np.uint64(alpha + beta)
-    _, lo, _ = _split(arr, alpha, beta)
-    for v in probes:
-        combined = _add_word(arr, v) ^ ((lo & np.uint64(v.lo)) << shift)
-        expect = masks ^ np.uint64(v.gray)
-        if not bool(np.all(gray_array(combined, alpha, beta) == expect)):
-            return False
+    for start in range(0, len(arr), _BLOCK_WORDS):
+        block = arr[start:start + _BLOCK_WORDS]
+        masks = gray_array(block, alpha, beta)
+        _, lo, _ = _split(block, alpha, beta)
+        for v in probes:
+            combined = _add_word(block, v) ^ ((lo & np.uint64(v.lo)) << shift)
+            expect = masks ^ np.uint64(v.gray)
+            if not bool(np.all(gray_array(combined, alpha, beta) == expect)):
+                return False
     return True
 
 

@@ -15,6 +15,7 @@ from z2z4.code import (
     BinaryCode,
     CodeType,
     Word,
+    _BLOCK_WORDS,
     _add_word,
     _isin_sorted,
     _sorted_unique,
@@ -361,6 +362,28 @@ def test_echelon_fast_path_matches_scalar_loop():
         )
 
 
+@pytest.mark.parametrize("new_mask", [(1 << 15) | 1, 1, (1 << 14) | 1])
+def test_echelon_pivot_found_only_in_the_last_block(new_mask):
+    # every mask of the first block lies in the span of bits 1-14; the
+    # last mask, alone in the second block, brings one new pivot: above
+    # the pivots found so far, below them, or at bit 0 once the pivot
+    # at its leading bit 14 has reduced it
+    rng = np.random.default_rng(12)
+    masks = rng.integers(0, 1 << 14, size=_BLOCK_WORDS + 1, dtype=np.uint64) << np.uint64(1)
+    masks[-1] = new_mask
+    code = BinaryCode.from_masks(16, masks)
+    assert code.dim == BinaryCode.from_masks(16, masks[:-1]).dim + 1 == 15
+    assert code == BinaryCode.from_masks(16, [int(m) for m in masks])
+
+
+def test_echelon_full_rank_in_the_first_block():
+    rng = np.random.default_rng(13)
+    masks = rng.integers(0, 1 << 20, size=_BLOCK_WORDS + 7, dtype=np.uint64)
+    code = BinaryCode.from_masks(20, masks)
+    assert code.dim == BinaryCode.from_masks(20, masks[:_BLOCK_WORDS]).dim == 20
+    assert code == BinaryCode.from_masks(20, [int(m) for m in masks])
+
+
 # hand-checkable code: the mixed-length pair from the worked examples
 def _small_mixed_code() -> AdditiveCode:
     gens = [Word.parse("1|111")]
@@ -443,6 +466,21 @@ def test_type_by_counting_matches_structure():
     binary_only = AdditiveCode(3, 1, [Word.parse("110|0"), Word.parse("011|0")])
     t = type_by_counting(binary_only)
     assert (t.gamma, t.delta, t.kappa) == (2, 0, 2)
+
+
+def test_type_by_counting_matches_structure_over_several_blocks():
+    # 2^17 words, 2^15 of them of order two: both mask arrays that
+    # type_by_counting echelons span more than one block
+    rng = np.random.default_rng(10)
+    gens = [Word(10, 6, int(rng.integers(1 << 10)), int(rng.integers(1, 1 << 6)),
+                 int(rng.integers(1 << 6))) for _ in range(2)]
+    gens += [Word(10, 6, int(rng.integers(1 << 9)), 0, int(rng.integers(1 << 6)))
+             for _ in range(16)]
+    code = AdditiveCode(10, 6, gens)
+    t = code.code_type()
+    assert (code.size, 1 << (t.gamma + t.delta)) == (1 << 17, 2 * _BLOCK_WORDS)
+    assert (t.kappa, t.kappa1, t.delta1) == (9, 9, 1)
+    assert type_by_counting(code) == t
 
 
 def test_code_type_validates():

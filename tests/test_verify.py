@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from z2z4 import verify
-from z2z4.code import AdditiveCode, Word, kernel_bruteforce
+from z2z4 import code as code_module, verify
+from z2z4.code import _BLOCK_WORDS, AdditiveCode, Word, kernel_bruteforce, ungray_array
 from z2z4.cyclic import cyclic_spec, enumerate_cyclic_specs, kernel_spec, materialize, rank_spec
-from z2z4.gf2 import BinPoly
+from z2z4.gf2 import BIN_ZERO, BinPoly
 from z2z4.verify import (
     CheckReport,
     SweepRow,
@@ -129,6 +130,46 @@ def test_failing_set_check_still_names_its_witness_word(monkeypatch):
     assert report.failures[0] == "kernel-set"
     assert report.witness == "kernel-set: " + _first_difference(code, kernel_bruteforce(code))
     assert report.witness.startswith("kernel-set: word ")
+
+
+def _ambient_code(alpha, beta):
+    # f = h = 1 and g = x^beta - 1: every word of Z2^alpha x Z4^beta
+    g = QuatPoly((3,) + (0,) * (beta - 1) + (1,))
+    return materialize(cyclic_spec(alpha, beta, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, g))
+
+
+def _carry_dropped(arr, w):
+    return code_module._add_word(arr, w) ^ code_module._star2_array(arr, w)
+
+
+def _gray_bit_flipped_at(word):
+    def gray_array(arr, alpha, beta):
+        out = code_module.gray_array(arr, alpha, beta)
+        return np.where(arr == np.uint64(word), out ^ np.uint64(1), out)
+    return gray_array
+
+
+@pytest.mark.parametrize("alpha, beta", [(2, 5), (2, 7)])
+def test_gray_identity_check_catches_a_wrong_carry_and_a_wrong_gray_bit(
+        monkeypatch, alpha, beta):
+    # 2^12 words take every word as a probe; 2^16 words, four blocks,
+    # take the basis words
+    code = _ambient_code(alpha, beta)
+    arr = code.words()
+    assert len(arr) == 1 << (alpha + 2 * beta)
+    assert verify._gray_identity_holds(code)
+    top = int(arr[-1])
+    if len(arr) > _BLOCK_WORDS:
+        # v + w + 2(v * w) is the largest word only for words w of the
+        # last block, so only that block reaches the flipped bit
+        probes = code.basis_words()
+        flips = np.array([Word.from_packed(top, alpha, beta).gray ^ v.gray for v in probes],
+                         dtype=np.uint64)
+        assert bool(np.all(ungray_array(flips, alpha, beta) >= arr[-_BLOCK_WORDS]))
+    for name, fault in (("_add_word", _carry_dropped), ("gray_array", _gray_bit_flipped_at(top))):
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, fault)
+            assert not verify._gray_identity_holds(code), name
 
 
 def test_check_names_are_stable():

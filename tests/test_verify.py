@@ -163,9 +163,9 @@ def test_gray_identity_check_catches_a_wrong_carry_and_a_wrong_gray_bit(
         # v + w + 2(v * w) is the largest word only for words w of the
         # last block, so only that block reaches the flipped bit
         probes = code.basis_words()
-        flips = np.array([Word.from_packed(top, alpha, beta).gray ^ v.gray for v in probes],
-                         dtype=np.uint64)
-        assert bool(np.all(ungray_array(flips, alpha, beta) >= arr[-_BLOCK_WORDS]))
+        partners = np.array([Word.from_packed(top, alpha, beta).gray ^ v.gray for v in probes],
+                            dtype=np.uint64)
+        assert bool(np.all(ungray_array(partners, alpha, beta) >= arr[-_BLOCK_WORDS]))
     for name, fault in (("_add_word", _carry_dropped), ("gray_array", _gray_bit_flipped_at(top))):
         with monkeypatch.context() as m:
             m.setattr(verify, name, fault)

@@ -14,7 +14,8 @@ The rank closed form here differs from a published account that takes
 both the attainable rank bound and exhaustive enumeration (it predicts
 12 where the true rank is 11 on a two-block length-(2,7) code).  The
 correct divisor needs the span of coefficientwise products of the
-high-order binary code, computed exactly by ``pairwise_product_span``.
+high-order binary code; ``pairwise_product_span`` reads it off the
+tensor square of that code's check polynomial.
 
 A ``CyclicSpec`` exists only once its checks pass, and it carries f, h
 and g mod 2.  Each closed form comes in two parts.  The part that reads
@@ -41,6 +42,7 @@ from .gf2 import (
     BIN_ONE,
     BIN_ZERO,
     BinPoly,
+    divisor_mask,
     divisors_of_xn1,
     ext_gcd2,
     gcd2,
@@ -52,7 +54,6 @@ from .gf2 import (
 from .z4 import (
     Q_ZERO,
     QuatPoly,
-    divisor_mask,
     lcm_divisors,
     mask_poly,
     monic_divisors,

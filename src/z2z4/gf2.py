@@ -4,13 +4,17 @@ Bit ``i`` of ``bits`` is the coefficient of ``x^i``.  All arithmetic is
 exact; nothing here is probabilistic.  The module also owns the splitting
 field machinery used to factor ``x^n - 1`` for odd ``n``: cyclotomic
 cosets, a primitive element of GF(2^m) with ``m = ord_2(n)``, and the
-per-coset irreducible factors.  Everything downstream (tensor squares,
-coefficientwise product spans) reduces to this factorization.
+per-coset irreducible factors; everything downstream reduces to this
+factorization.  ``divisor_mask`` alone decides which coset factors
+divide a divisor of x^n + 1, and ``root_exponents`` and ``z4`` read that
+mask.  ``tensor_square`` takes the sumset of root exponents, and
+``pairwise_product_span`` reads the span of coefficientwise products of
+a cyclic code off the tensor square of its check polynomial.
 
 Per-length facts are computed once per process: the factor tables
 (``cyclotomic_cosets``, ``build_field``, ``factor_xn1_gf2``) and, for a
-divisor p of x^n + 1, ``tensor_square(p, n)`` and
-``pairwise_product_span(p, n)``.  The closed forms only ever pass
+divisor p of x^n + 1, ``divisor_mask(p, n)``, ``tensor_square(p, n)``
+and ``pairwise_product_span(p, n)``.  The closed forms only ever pass
 divisors of x^n + 1, so each length has at most 2^(number of
 cyclotomic cosets of n) keys: 32 at n = 15, 64 at n = 21.  Factoring
 calls nothing memoised beyond the three tables, so clearing their
@@ -233,18 +237,15 @@ def cyclotomic_cosets(n: int) -> tuple[Coset, ...]:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """GF(2^m) with a fixed primitive modulus and an order-n subgroup generator.
+    """GF(2^m) with a fixed primitive modulus and an order-n subgroup.
 
-    ``xi_pow`` holds the n distinct powers of ``xi``; ``xi_log`` inverts it.
+    ``xi_pow`` holds the n distinct powers of an element xi of order n.
     Only the order-n subgroup is tabulated, never the full field.
     """
 
-    n: int
     m: int
     modulus: int
-    xi: int
     xi_pow: tuple[int, ...]
-    xi_log: dict[int, int]
 
     def mul(self, a: int, b: int) -> int:
         r = _mul2(a, b)
@@ -302,7 +303,7 @@ def build_field(n: int) -> FieldContext:
     modulus = None
     for cand in range((1 << m) | 1, 1 << (m + 1), 2):
         # x has order 2^m - 1 only if cand is irreducible with x primitive
-        ctx = FieldContext(n, m, cand, 0, (), {})
+        ctx = FieldContext(m, cand, ())
         if ctx.pow(2, group) != 1:
             continue
         if any(ctx.pow(2, group // q) == 1 for q in primes):
@@ -311,17 +312,16 @@ def build_field(n: int) -> FieldContext:
         break
     if modulus is None:
         raise AssertionError(f"no primitive modulus of degree {m}")
-    ctx = FieldContext(n, m, modulus, 0, (), {})
+    ctx = FieldContext(m, modulus, ())
     xi = ctx.pow(2, group // n)
     pows = [1]
     for _ in range(n - 1):
         pows.append(ctx.mul(pows[-1], xi))
     if ctx.mul(pows[-1], xi) != 1:
         raise AssertionError("xi does not have exact order n")
-    logs = {v: i for i, v in enumerate(pows)}
-    if len(logs) != n:
+    if len(set(pows)) != n:
         raise AssertionError("xi powers collide")
-    return FieldContext(n, m, modulus, xi, tuple(pows), logs)
+    return FieldContext(m, modulus, tuple(pows))
 
 
 @lru_cache(maxsize=None)
@@ -360,17 +360,29 @@ def binary_factors(n: int) -> tuple[BinPoly, ...]:
     return tuple(p for _, p in factor_xn1_gf2(n))
 
 
+@lru_cache(maxsize=None)
+def divisor_mask(p: BinPoly, n: int) -> int:
+    """The coset factors of x^n + 1 that divide p, as a mask.
+
+    Bit i stands for the i-th factor of ``factor_xn1_gf2(n)``.  p must
+    divide x^n + 1.
+    """
+    mask = 0
+    prod = BIN_ONE
+    for i, (_, q) in enumerate(factor_xn1_gf2(n)):
+        if q.divides(p):
+            mask |= 1 << i
+            prod = prod * q
+    if prod != p:
+        raise ValueError(f"{p} is not a divisor of x^{n} + 1")
+    return mask
+
+
 def root_exponents(p: BinPoly, n: int) -> frozenset[int]:
     """Exponent set {k : p(xi^k) = 0} for a divisor p of x^n + 1."""
-    s: set[int] = set()
-    rem = p
-    for coset, q in factor_xn1_gf2(n):
-        if q.divides(p):
-            s.update(coset.exps)
-            rem = rem // q
-    if not rem.is_one:
-        raise ValueError(f"{p} does not divide x^{n} + 1")
-    return frozenset(s)
+    mask = divisor_mask(p, n)
+    return frozenset(e for i, (coset, _) in enumerate(factor_xn1_gf2(n))
+                     if mask >> i & 1 for e in coset.exps)
 
 
 @lru_cache(maxsize=None)
@@ -393,22 +405,17 @@ def tensor_square(p: BinPoly, n: int) -> BinPoly:
 def pairwise_product_span(p: BinPoly, n: int) -> BinPoly:
     """Generator of the span of coefficientwise products from the code of p.
 
-    The length-n cyclic binary code generated by p is spanned by the n
-    rotations of its mask; coefficientwise AND is bilinear over XOR, so
-    the span of all pairwise products of codewords equals the span of the
-    pairwise ANDs of those rotations.  That span is again cyclic and this
-    returns its generator, with x^n + 1 standing for the zero code.
+    The length-n cyclic binary code generated by p, for odd n, has the
+    generator gcd(p, x^n + 1); its nonzeros N are the root exponents of
+    the check polynomial (x^n + 1) / gcd(p, x^n + 1).  The span of the
+    coefficientwise products of two of its words is the cyclic code with
+    nonzeros N + N (MacWilliams and Sloane, ch. 7; Cascudo, "On squares
+    of cyclic codes", 2019), so its generator is x^n + 1 over the tensor
+    square of the check polynomial, with x^n + 1 standing for the zero
+    code.
     """
     full = xn_minus_1(n)
-    mask = (p % full).bits
-    rots = [rotate_mask(mask, i, n) for i in range(n)]
-    g = full.bits
-    for i in range(n):
-        for j in range(i, n):
-            g = _gcd2(g, rots[i] & rots[j])
-            if g == 1:
-                return BIN_ONE
-    return BinPoly(g)
+    return full // tensor_square(full // gcd2(p % full, full), n)
 
 
 def divisors_of_xn1(alpha: int) -> tuple[BinPoly, ...]:

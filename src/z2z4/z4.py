@@ -12,12 +12,12 @@ factors, in the order of ``factor_xn1_z4(n)``: bit i stands for the
 i-th factor.  Products of coprime divisors, quotients of nested ones and
 lcms are then unions and differences of masks.  Each basic factor
 reduces to the binary factor of the same coset, so the mask of a binary
-divisor p of x^n + 1 also names the one monic divisor of x^n - 1 that
-reduces to p: its Hensel lift.
+divisor p of x^n + 1 (``gf2.divisor_mask``) also names the one monic
+divisor of x^n - 1 that reduces to p, and ``mask_poly`` of that mask
+equals ``hensel_lift(p, n)``.
 
-Memoised per process: ``factor_xn1_z4(n)``; ``divisor_mask(p, n)`` on a
-binary divisor p of x^n + 1 and ``mask_poly(mask, n)`` on a mask, both
-at most 2^t keys per length for t basic factors; and, for a monic
+Memoised per process: ``factor_xn1_z4(n)``; ``mask_poly(mask, n)`` on a
+mask, at most 2^t keys per length for t basic factors; and, for a monic
 divisor g of x^n - 1, ``monic_divisors(g, n)`` and ``reduce_mod2(g)``,
 again at most 2^t keys.  Factoring calls no memo below its own table
 (neither ``hensel_lift`` nor ``reduce_mod2``), so clearing that cache,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SpecError
-from .gf2 import BIN_ONE, BinPoly, Coset, factor_xn1_gf2, ext_gcd2, xn_minus_1
+from .gf2 import BinPoly, Coset, divisor_mask, ext_gcd2, factor_xn1_gf2, xn_minus_1
 from .polytext import format_terms, parse_terms
 
 
@@ -235,24 +235,6 @@ def factor_xn1_z4(n: int) -> tuple[tuple[Coset, QuatPoly], ...]:
 
 def quat_factors(n: int) -> tuple[QuatPoly, ...]:
     return tuple(q for _, q in factor_xn1_z4(n))
-
-
-@lru_cache(maxsize=None)
-def divisor_mask(p: BinPoly, n: int) -> int:
-    """The basic factors of x^n - 1 that reduce to factors of p, as a mask.
-
-    p must divide x^n + 1.  The lift of p is unique, so ``mask_poly`` of
-    the mask equals ``hensel_lift(p, n)``.
-    """
-    mask = 0
-    prod = BIN_ONE
-    for i, (_, q) in enumerate(factor_xn1_gf2(n)):
-        if q.divides(p):
-            mask |= 1 << i
-            prod = prod * q
-    if prod != p:
-        raise ValueError(f"{p} is not a divisor of x^{n} + 1")
-    return mask
 
 
 @lru_cache(maxsize=None)

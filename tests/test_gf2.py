@@ -1,5 +1,7 @@
 """Binary polynomial arithmetic, factorization, and the two product maps."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from z2z4.gf2 import (
     BinPoly,
     binary_factors,
     cyclotomic_cosets,
+    divisor_mask,
     divisors_of_xn1,
     ext_gcd2,
     factor_xn1_gf2,
@@ -185,11 +188,34 @@ def test_memoised_products_equal_their_originals(n):
             assert pairwise_product_span(p, n) == pairwise_product_span.__wrapped__(p, n)
 
 
+@pytest.mark.parametrize("p, n", ((BinPoly.parse("x^2 + 1"), 7), (BIN_ZERO, 7),
+                                  (BinPoly.parse("x^3 + x + 1"), 5)))
+def test_non_divisors_are_rejected(p, n):
+    for f in (divisor_mask, root_exponents, tensor_square):
+        with pytest.raises(ValueError):
+            f(p, n)
+
+
 def test_pairwise_product_span_erodes():
     # rotations of x + 1 overlap in single monomials, so the span of
     # their coefficientwise products is the whole ambient space
     assert pairwise_product_span(BinPoly.parse("x + 1"), 7) == BIN_ONE
     assert pairwise_product_span(BIN_ZERO, 7) == xn_minus_1(7)
+
+
+def _rotation_product_gcd(p: BinPoly, n: int) -> BinPoly:
+    """The product span's generator: gcd of x^n + 1 and the pairwise ANDs
+    of the n rotations of p mod x^n + 1, which span the code of p."""
+    full = xn_minus_1(n)
+    mask = (p % full).bits
+    rots = [rotate_mask(mask, i, n) for i in range(n)]
+    g = full
+    for i in range(n):
+        for j in range(i, n):
+            g = gcd2(g, BinPoly(rots[i] & rots[j]))
+            if g.is_one:
+                return g
+    return g
 
 
 def test_pairwise_product_span_is_oracle_exact():
@@ -214,3 +240,12 @@ def test_pairwise_product_span_is_oracle_exact():
             assert len(basis) == n - gen.degree
             for m in basis:
                 assert gen.divides(BinPoly(m))
+    # past n = 9, and on p = 0 and non-divisors, against the gcd over
+    # the coefficientwise products of p's rotations
+    rng = random.Random(45)
+    for n in (*range(1, 24, 2), 31, 45):
+        divs = divisors_of_xn1(n)
+        # a divisor times a random polynomial keeps a large gcd with x^n + 1
+        extra = [rng.choice(divs) * BinPoly(rng.getrandbits(n)) for _ in range(8)]
+        for p in (*divs, BIN_ZERO, *extra):
+            assert pairwise_product_span(p, n) == _rotation_product_gcd(p, n)

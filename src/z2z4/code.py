@@ -25,9 +25,11 @@ while a block's temporaries stay in cache.
 
 Set operations on sorted packed arrays (deduplication, membership,
 intersection) go through ``_sorted_unique`` and ``_isin_sorted``, and
-arithmetic on packed word arrays (sums, doubled products) goes through
-``_add_word`` and ``_star2_array``.  Enumeration grows a word array one
-generator at a time with ``_cosets``.
+arithmetic on packed words (sums, doubled products) goes through
+``_add_packed`` and ``_star2_packed``, which broadcast like any numpy
+operator, so one call adds a word to an array or a column of words to a
+row of them.  Enumeration grows a word array one generator at a time
+with ``_cosets``.
 
 ``Word``'s bitplane arithmetic is the only Z4 arithmetic: the group
 basis, Howell form, membership and standard form all reduce ``Word``s,
@@ -108,6 +110,11 @@ class Word:
     def gray(self) -> int:
         """Image as a bitmask of length alpha + 2*beta, bit i = coordinate i."""
         return self.u | (self.hi << self.alpha) | ((self.lo ^ self.hi) << (self.alpha + self.beta))
+
+    @property
+    def packed(self) -> int:
+        """The packed word, inverse of ``from_packed``: u, then lo, then hi."""
+        return self.u | (self.lo << self.alpha) | (self.hi << (self.alpha + self.beta))
 
     @property
     def is_zero(self) -> bool:
@@ -246,22 +253,22 @@ def _split(arr: np.ndarray, alpha: int, beta: int):
     return u, lo, hi
 
 
-def _star2_array(arr: np.ndarray, w: Word) -> np.ndarray:
-    """``star2(v, w)`` for each packed word v of ``arr``: the product of
-    the residues, moved from the ``lo`` plane up to the ``hi`` plane."""
-    return (arr & _u64(w.lo << w.alpha)) << _u64(w.beta)
+def _star2_packed(a, b, alpha: int, beta: int):
+    """``star2(v, w)`` for packed words v of ``a`` and w of ``b``, broadcast:
+    the product of the residues, moved from the ``lo`` plane up to ``hi``."""
+    return (a & b & _u64(((1 << beta) - 1) << alpha)) << _u64(beta)
 
 
-def _add_word(arr: np.ndarray, w: Word) -> np.ndarray:
-    """``v + w`` for each packed word v of ``arr``: XOR of the planes,
-    plus the carry of the residues into ``hi``."""
-    packed = w.u | (w.lo << w.alpha) | (w.hi << (w.alpha + w.beta))
-    return arr ^ _u64(packed) ^ _star2_array(arr, w)
+def _add_packed(a, b, alpha: int, beta: int):
+    """``v + w`` for packed words v of ``a`` and w of ``b``, broadcast: XOR
+    of the planes, plus the carry of the residues into ``hi``."""
+    return a ^ b ^ _star2_packed(a, b, alpha, beta)
 
 
 def _cosets(arr: np.ndarray, w: Word) -> np.ndarray:
     """``arr`` followed by ``arr + c*w`` for each 1 <= c < order(w)."""
-    return np.concatenate([arr] + [_add_word(arr, w * c) for c in range(1, w.order())])
+    return np.concatenate([arr] + [_add_packed(arr, _u64((w * c).packed), w.alpha, w.beta)
+                                   for c in range(1, w.order())])
 
 
 def gray_array(arr: np.ndarray, alpha: int, beta: int) -> np.ndarray:
@@ -851,7 +858,7 @@ def kernel_bruteforce(code: AdditiveCode) -> AdditiveCode:
     passed = np.ones(len(residues), dtype=bool)
     for w in code.basis_words():
         if w.lo:
-            passed &= code.membership_mask(_star2_array(residues, w))
+            passed &= code.membership_mask(_star2_packed(residues, _u64(w.packed), alpha, beta))
     kept = arr if passed.all() else arr[_isin_sorted(residues[passed], lo)]
     return AdditiveCode.from_words(alpha, beta, kept, max_words=code.max_words)
 

@@ -33,9 +33,8 @@ from .code import (
     AdditiveCode,
     BinaryCode,
     Word,
-    _add_word,
+    _add_packed,
     _isin_sorted,
-    _split,
     _type_text,
     gray_array,
     gray_preimage,
@@ -137,32 +136,36 @@ def _meet(codes) -> np.ndarray:
 def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 4096) -> bool:
     """Image of v + w + 2(v * w) must be the XOR of the two images.
 
-    The sum goes through the real adder with its carry; only the final
-    order-two correction term is a plain high-plane flip, written out
-    here rather than taken from ``_star2_array``, which the adder itself
-    uses, so that a wrong carry cannot cancel out of the check.
+    The sum goes through the real adder, ``_add_packed``, with its carry;
+    only the final order-two correction term is a plain high-plane flip,
+    written out here rather than taken from the adder, so that a wrong
+    carry cannot cancel out of the check.
 
     Every word is a probe up to ``exhaustive_limit`` words, the basis
-    words beyond it.  The code's words are taken ``_BLOCK_WORDS`` at a
-    time, and every probe runs over one block before the next: each
-    elementwise pass then reads and writes a cache-sized temporary
-    instead of streaming the whole array through memory.
+    words beyond it; the probes are one packed array.  The code's words
+    are taken ``_BLOCK_WORDS`` at a time, and each block meets a column
+    of ``_BLOCK_WORDS // len(block)`` probes (at least one) per pass: a
+    broadcast pass of that many pairs keeps its temporaries in cache, and
+    a small code needs few passes instead of one per probe.
     """
     arr = code.words()
     alpha, beta = code.alpha, code.beta
     if len(arr) <= exhaustive_limit:
-        probes = [Word.from_packed(int(p), alpha, beta) for p in arr]
+        probes = arr
     else:
-        probes = list(code.basis_words())
-    shift = np.uint64(alpha + beta)
+        probes = np.array([w.packed for w in code.basis_words()], dtype=np.uint64)
+    column = probes[:, None]
+    images = gray_array(column, alpha, beta)
+    lo_mask, shift = np.uint64(((1 << beta) - 1) << alpha), np.uint64(beta)
     for start in range(0, len(arr), _BLOCK_WORDS):
         block = arr[start:start + _BLOCK_WORDS]
         masks = gray_array(block, alpha, beta)
-        _, lo, _ = _split(block, alpha, beta)
-        for v in probes:
-            combined = _add_word(block, v) ^ ((lo & np.uint64(v.lo)) << shift)
-            expect = masks ^ np.uint64(v.gray)
-            if not bool(np.all(gray_array(combined, alpha, beta) == expect)):
+        residues = block & lo_mask
+        k = max(1, _BLOCK_WORDS // len(block))
+        for t in range(0, len(probes), k):
+            vs = column[t:t + k]
+            combined = _add_packed(block, vs, alpha, beta) ^ ((residues & vs) << shift)
+            if not np.array_equal(gray_array(combined, alpha, beta), masks ^ images[t:t + k]):
                 return False
     return True
 

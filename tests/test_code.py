@@ -16,10 +16,10 @@ from z2z4.code import (
     CodeType,
     Word,
     _BLOCK_WORDS,
-    _add_word,
+    _add_packed,
     _isin_sorted,
     _sorted_unique,
-    _star2_array,
+    _star2_packed,
     gray_array,
     gray_preimage,
     group_basis,
@@ -172,10 +172,6 @@ def packed_arrays(draw):
     return alpha, beta, packed, draw(words(alpha, beta))
 
 
-def _packed(w: Word) -> int:
-    return w.u | (w.lo << w.alpha) | (w.hi << (w.alpha + w.beta))
-
-
 @given(packed_arrays())
 @example((3, 4, list(range(1 << 11)), Word.parse("101|3120")))
 @example((2, 30, [0, (1 << 62) - 1, 1 << 61, (1 << 32) - 1, 0x2AAAAAAAAAAAAAAA],
@@ -183,14 +179,26 @@ def _packed(w: Word) -> int:
 def test_packed_arrays_match_words(case):
     alpha, beta, packed, w = case
     arr = np.array(packed, dtype=np.uint64)
-    sums, stars = _add_word(arr, w), _star2_array(arr, w)
+    wp = np.uint64(w.packed)
+    sums, stars = _add_packed(arr, wp, alpha, beta), _star2_packed(arr, wp, alpha, beta)
     masks = gray_array(arr, alpha, beta)
-    for i, p in enumerate(packed):
-        v = Word.from_packed(p, alpha, beta)
-        assert int(sums[i]) == _packed(v + w)
-        assert int(stars[i]) == _packed(star2(v, w))
+    vs = [Word.from_packed(p, alpha, beta) for p in packed]
+    for i, v in enumerate(vs):
+        assert v.packed == packed[i]
+        assert int(sums[i]) == (v + w).packed
+        assert int(stars[i]) == star2(v, w).packed
         assert int(masks[i]) == v.gray
     assert np.array_equal(ungray_array(masks, alpha, beta), arr)
+    # a (k, 1) column against a (B,) row, as the Gray identity check adds
+    # its probes, and the same pairs the other way round
+    column = [w] + vs[:3]
+    col = np.array([c.packed for c in column], dtype=np.uint64)[:, None]
+    grids = (_add_packed(col, arr, alpha, beta), _add_packed(arr, col, alpha, beta))
+    for grid in grids:
+        assert grid.shape == (len(column), len(packed))
+        for r, c in enumerate(column):
+            for i, v in enumerate(vs):
+                assert int(grid[r, i]) == (c + v).packed
 
 
 def test_ambient_guard():
@@ -420,9 +428,7 @@ def test_kernel_bruteforce_is_the_definition(code):
     ws = [Word.from_packed(int(p), code.alpha, code.beta) for p in code.words()]
     expected = [v for v in ws if all(code.contains(star2(v, w)) for w in ws)]
     kernel = kernel_bruteforce(code)
-    assert [int(p) for p in kernel.words()] == sorted(
-        v.u | (v.lo << v.alpha) | (v.hi << (v.alpha + v.beta)) for v in expected
-    )
+    assert [int(p) for p in kernel.words()] == sorted(v.packed for v in expected)
 
 
 @settings(deadline=None)

@@ -138,8 +138,8 @@ def _ambient_code(alpha, beta):
     return materialize(cyclic_spec(alpha, beta, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, g))
 
 
-def _carry_dropped(arr, w):
-    return code_module._add_word(arr, w) ^ code_module._star2_array(arr, w)
+def _carry_dropped(a, b, alpha, beta):
+    return code_module._add_packed(a, b, alpha, beta) ^ code_module._star2_packed(a, b, alpha, beta)
 
 
 def _gray_bit_flipped_at(word):
@@ -166,10 +166,43 @@ def test_gray_identity_check_catches_a_wrong_carry_and_a_wrong_gray_bit(
         partners = np.array([Word.from_packed(top, alpha, beta).gray ^ v.gray for v in probes],
                             dtype=np.uint64)
         assert bool(np.all(ungray_array(partners, alpha, beta) >= arr[-_BLOCK_WORDS]))
-    for name, fault in (("_add_word", _carry_dropped), ("gray_array", _gray_bit_flipped_at(top))):
+    for name, fault in (("_add_packed", _carry_dropped), ("gray_array", _gray_bit_flipped_at(top))):
         with monkeypatch.context() as m:
             m.setattr(verify, name, fault)
             assert not verify._gray_identity_holds(code), name
+
+
+@pytest.mark.parametrize("alpha, beta, exhaustive", [
+    (4, 1, True), (1, 5, True), (2, 5, True), (2, 7, False)])
+def test_gray_identity_check_adds_every_probe_to_every_word(
+        monkeypatch, alpha, beta, exhaustive):
+    # 2^6, 2^11 and 2^12 words take every word as a probe, several probes
+    # per pass; 2^16 words, four blocks, take the basis words one at a time
+    code = _ambient_code(alpha, beta)
+    arr = code.words()
+    probes = arr if exhaustive else [w.packed for w in code.basis_words()]
+    assert (len(arr) <= 4096) == exhaustive
+    # the last probe meets the last word only in the last pass
+    last = (np.uint64(probes[-1]), arr[-1])
+    pairs, hits = [], []
+
+    def adder(fault):
+        def add(a, b, al, be):
+            out = code_module._add_packed(a, b, al, be)
+            pairs.append(np.broadcast(a, b).size)
+            hit = ((a == last[0]) & (b == last[1])) | ((a == last[1]) & (b == last[0]))
+            hits.append(int(np.count_nonzero(hit)))
+            return out ^ (hit.astype(np.uint64) if fault else np.uint64(0))
+        return add
+
+    monkeypatch.setattr(verify, "_add_packed", adder(False))
+    assert verify._gray_identity_holds(code)
+    assert sum(pairs) == len(probes) * len(arr)
+    assert sum(hits) == 1
+    pairs.clear()
+    monkeypatch.setattr(verify, "_add_packed", adder(True))
+    assert not verify._gray_identity_holds(code)
+    assert sum(pairs) == len(probes) * len(arr)
 
 
 def test_check_names_are_stable():

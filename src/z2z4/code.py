@@ -272,8 +272,19 @@ def _cosets(arr: np.ndarray, w: Word) -> np.ndarray:
 
 
 def gray_array(arr: np.ndarray, alpha: int, beta: int) -> np.ndarray:
-    u, lo, hi = _split(arr, alpha, beta)
-    return u | (hi << _u64(alpha)) | ((lo ^ hi) << _u64(alpha + beta))
+    # the image is the packed word with lo ^ hi added into the lo plane
+    # and lo into the hi plane, built in place in two temporaries: each
+    # of the Gray check's passes allocates 2^14-word ones, and holding
+    # many at once churns the heap with page faults
+    lo_mask = _u64(((1 << beta) - 1) << alpha)
+    lo = arr & lo_mask
+    out = arr >> _u64(beta)
+    out &= lo_mask
+    out ^= lo
+    lo <<= _u64(beta)
+    out |= lo
+    out ^= arr
+    return out
 
 
 def ungray_array(bits: np.ndarray, alpha: int, beta: int) -> np.ndarray:

@@ -196,9 +196,11 @@ def test_packed_arrays_match_words(case):
     grids = (_add_packed(col, arr, alpha, beta), _add_packed(arr, col, alpha, beta))
     for grid in grids:
         assert grid.shape == (len(column), len(packed))
+        images = gray_array(grid, alpha, beta)
         for r, c in enumerate(column):
             for i, v in enumerate(vs):
                 assert int(grid[r, i]) == (c + v).packed
+                assert int(images[r, i]) == (c + v).gray
 
 
 def test_ambient_guard():

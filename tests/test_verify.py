@@ -198,6 +198,8 @@ def test_gray_identity_check_adds_every_probe_to_every_word(
     monkeypatch.setattr(verify, "_add_packed", adder(False))
     assert verify._gray_identity_holds(code)
     assert sum(pairs) == len(probes) * len(arr)
+    # as many probes per pass as fit a block's worth of pairs
+    assert max(pairs) == min(_BLOCK_WORDS, len(probes) * len(arr))
     assert sum(hits) == 1
     pairs.clear()
     monkeypatch.setattr(verify, "_add_packed", adder(True))

@@ -21,6 +21,7 @@ from z2z4.code import (
 from z2z4.cyclic import (
     ENUMERATION_LIMIT,
     CyclicSpec,
+    _triple_forms,
     cardinality,
     cyclic_spec,
     enumerate_cyclic_specs,
@@ -32,7 +33,6 @@ from z2z4.cyclic import (
     maximal_linear_subcodes,
     order_two_spec,
     poly_word,
-    quaternary_linear,
     rank_candidates,
     rank_spec,
     raw_pair_count,
@@ -43,7 +43,16 @@ from z2z4.cyclic import (
 )
 from z2z4.errors import SizeGuardError, SpecError
 from z2z4.gf2 import BIN_ONE, BIN_ZERO, BinPoly, divisors_of_xn1, gcd2
-from z2z4.z4 import Q_ONE, QuatPoly, quat_factors, reduce_mod2
+from z2z4.z4 import (
+    Q_ONE,
+    QuatPoly,
+    monic_divisors,
+    quat_factors,
+    reduce_mod2,
+    xn_minus_1_z4,
+)
+
+from test_gf2 import _rotation_product_gcd
 
 X1 = BinPoly.parse("x + 1")
 P3 = QuatPoly((3, 1, 2, 1))
@@ -239,6 +248,23 @@ def test_rank_closed_form_small():
     assert materialize(res.spec) == lifted
 
 
+@pytest.mark.parametrize("n", (7, 9, 15, 21))
+def test_rank_forms_agree_with_the_rotation_product_span(n):
+    # S is the product span of f h read off rotations, not tensor squares:
+    # r divides f, S meets f in exactly f / r, and p is mu g (S / gcd(S, f))
+    whole = xn_minus_1_z4(n)
+    for g in monic_divisors(whole, n):
+        for h in monic_divisors(whole // g, n):
+            ft, ht, gt = (reduce_mod2(p) for p in (whole // (g * h), h, g))
+            forms = _triple_forms(ft, ht, gt, n)
+            rt = reduce_mod2(forms.r)
+            span = _rotation_product_gcd(ft * ht, n)
+            shared = gcd2(span, ft)
+            assert rt.divides(ft)
+            assert shared * rt == ft
+            assert forms.p == forms.mu_g * (span // shared)
+
+
 def test_rank_candidates():
     specs = list(enumerate_cyclic_specs(2, 7, type_filter=(2, 3)))
     assert rank_candidates(type_from_degrees(specs[0])) == (8, 9, 10, 11)
@@ -254,11 +280,15 @@ def test_linearity_closed_form_matches_bruteforce():
 
 
 def test_quaternary_linearity_criterion():
-    # linear exactly when gcd of f mod 2 with the root-sumset divisor of g is 1
-    assert quaternary_linear(XM1, Q3, 7)          # f = x - 1, h = p3
-    assert not quaternary_linear(XM1 * P3, Q3, 7)  # p3 roots meet the sumset
-    assert not quaternary_linear(XM1 * Q3, P3, 7)
-    assert quaternary_linear(P3 * Q3, Q_ONE, 7)   # g = 1 is always linear
+    # b = 1 and ell = 0 split off the binary block, so the code is linear
+    # exactly when gcd of f mod 2 with the root-sumset divisor of g is 1
+    def linear(f, h, g):
+        return gray_linear(CyclicSpec(1, 7, BIN_ONE, BIN_ZERO, f, h, g))
+
+    assert linear(XM1, P3, Q3)
+    assert not linear(XM1 * P3, Q_ONE, Q3)  # p3 roots meet the sumset
+    assert not linear(XM1 * Q3, Q_ONE, P3)
+    assert linear(P3 * Q3, XM1, Q_ONE)      # g = 1 is always linear
 
 
 def test_order_two_subcode_spec():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from z2z4.cyclic import (
-    _rank_forms,
     _triple_forms,
     enumerate_cyclic_specs,
     kernel_spec,
@@ -159,7 +158,6 @@ def test_memoised_divisor_tables_equal_their_originals(n):
             for h in monic_divisors(whole // g, n):
                 ht, ft = reduce_mod2(h), reduce_mod2(whole // (g * h))
                 assert _triple_forms(ft, ht, gt, n) == _triple_forms.__wrapped__(ft, ht, gt, n)
-                assert _rank_forms(ft, ht, gt, n) == _rank_forms.__wrapped__(ft, ht, gt, n)
         # the mask-built lift is the Hensel lift
         assert mask_poly(divisor_mask(gt, n), n) == hensel_lift(gt, n)
         # products of coprime divisors and quotients of nested ones
@@ -173,7 +171,7 @@ def test_memoised_divisor_tables_equal_their_originals(n):
 
 def test_closed_form_memos_stay_within_their_per_length_bounds():
     # 2^6 divisors and 3^6 triples at length 21
-    for memo in (divisor_mask, mask_poly, _triple_forms, _rank_forms):
+    for memo in (divisor_mask, mask_poly, _triple_forms):
         memo.cache_clear()
     for alpha in range(1, 5):
         for spec in enumerate_cyclic_specs(alpha, 21):
@@ -182,8 +180,9 @@ def test_closed_form_memos_stay_within_their_per_length_bounds():
             maximal_linear_subcodes(spec)
     assert divisor_mask.cache_info().currsize <= 64
     assert mask_poly.cache_info().currsize <= 64
+    # kernel, rank and subcode forms all read the one per-triple memo
     assert _triple_forms.cache_info().currsize <= 729
-    assert _rank_forms.cache_info().currsize <= 729
+    assert _triple_forms.cache_info().misses <= 729
 
 
 @pytest.mark.parametrize("n", (7, 9, 15, 21))

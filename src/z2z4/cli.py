@@ -7,7 +7,9 @@ Commands: ``factor``, ``analyze``, ``enumerate``, ``search``,
 ``search --verify`` takes ``--workers`` (default 1); ``search`` without
 ``--verify`` rejects both.  Exit codes: 0 success, 1 a check or fixture
 failed, 2 invalid input, 3 a resource guard tripped, 4 an internal error
-(any other exception; its traceback goes to stderr).
+(any other exception; its traceback goes to stderr).  ``search --verify``
+prints a spec whose cross-check raised as an ``error`` row naming the
+exception, finishes the sweep, and then exits 4.
 
 Each command prints a JSON record or a text or CSV view of it: ``analyze``
 renders ``_analysis``, ``search`` and ``paper-suite`` the records of
@@ -325,6 +327,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         summary = tabulate(args.alpha, args.beta, type_filter=type_filter)
     render = {"json": sweep_rows_json, "csv": sweep_rows_csv, "text": sweep_text}
     _print(render[args.format](summary))
+    if summary.errors:
+        return EXIT_INTERNAL
     return EXIT_OK if summary.passed else EXIT_CHECK_FAILED
 
 

@@ -5,7 +5,11 @@ A word is stored as three bitplanes: ``u`` for the binary block and
 ``lo_i + 2*hi_i``.  A whole code is a sorted numpy uint64 array of
 packed words, and every bulk operation (enumeration, Gray images,
 membership, kernels, spans) is a few vectorized bitplane ops, so the
-oracles stay exact while handling millions of words.
+oracles stay exact while handling millions of words.  The packed-word
+kernels (``_add_packed``, ``_star2_packed``, ``gray_array``,
+``ungray_array``) keep their input's dtype: their masks and shift counts
+are Python ints, which numpy casts to the array's width, so a uint32
+array of words of at most 32 bits stays uint32.
 
 Structure never comes from enumeration: ``group_basis`` extracts a
 basis split into order-4 and order-2 rows by exact elimination over the
@@ -45,7 +49,8 @@ from .errors import SizeGuardError
 
 DEFAULT_MAX_WORDS = 1 << 24
 # words per block of the blocked array passes: one uint64 temporary of
-# a block is 128 KiB, small enough to stay in a core's L2 cache
+# a block is 128 KiB, a uint32 one 64 KiB, small enough to stay in a
+# core's L2 cache
 _BLOCK_WORDS = 1 << 14
 AMBIENT_BIT_LIMIT = 62
 
@@ -241,22 +246,22 @@ def ungray(bits: int, alpha: int, beta: int) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# vectorized plane helpers on packed uint64 arrays
+# vectorized plane helpers on packed word arrays, uint64 or any unsigned
+# dtype wide enough for alpha + 2 beta bits
 
 
 def _split(arr: np.ndarray, alpha: int, beta: int):
-    mask_a = _u64((1 << alpha) - 1)
-    mask_b = _u64((1 << beta) - 1)
-    u = arr & mask_a
-    lo = (arr >> _u64(alpha)) & mask_b
-    hi = (arr >> _u64(alpha + beta)) & mask_b
+    mask_b = (1 << beta) - 1
+    u = arr & ((1 << alpha) - 1)
+    lo = (arr >> alpha) & mask_b
+    hi = (arr >> (alpha + beta)) & mask_b
     return u, lo, hi
 
 
 def _star2_packed(a, b, alpha: int, beta: int):
     """``star2(v, w)`` for packed words v of ``a`` and w of ``b``, broadcast:
     the product of the residues, moved from the ``lo`` plane up to ``hi``."""
-    return (a & b & _u64(((1 << beta) - 1) << alpha)) << _u64(beta)
+    return (a & b & (((1 << beta) - 1) << alpha)) << beta
 
 
 def _add_packed(a, b, alpha: int, beta: int):
@@ -276,12 +281,12 @@ def gray_array(arr: np.ndarray, alpha: int, beta: int) -> np.ndarray:
     # and lo into the hi plane, built in place in two temporaries: each
     # of the Gray check's passes allocates 2^14-word ones, and holding
     # many at once churns the heap with page faults
-    lo_mask = _u64(((1 << beta) - 1) << alpha)
+    lo_mask = ((1 << beta) - 1) << alpha
     lo = arr & lo_mask
-    out = arr >> _u64(beta)
+    out = arr >> beta
     out &= lo_mask
     out ^= lo
-    lo <<= _u64(beta)
+    lo <<= beta
     out |= lo
     out ^= arr
     return out
@@ -291,7 +296,7 @@ def ungray_array(bits: np.ndarray, alpha: int, beta: int) -> np.ndarray:
     # a Gray image holds hi where a packed word holds lo, and lo ^ hi
     # where it holds hi
     u, hi, lo_hi = _split(bits, alpha, beta)
-    return u | ((lo_hi ^ hi) << _u64(alpha)) | (hi << _u64(alpha + beta))
+    return u | ((lo_hi ^ hi) << alpha) | (hi << (alpha + beta))
 
 
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:

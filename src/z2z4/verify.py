@@ -12,7 +12,9 @@ The checks are the rows of ``_CHECKS``, in report order; each reads the
 objects of one ``_SpecObjects``, which the paper-suite fixtures share.
 ``cross_check`` enumerates the code before the first check, so a code
 over the word budget raises ``SizeGuardError`` (a guarded sweep row);
-a check that raises it later is listed as skipped.
+a check that raises it later is listed as skipped.  Any other exception
+out of ``cross_check`` makes the spec an error sweep row, and the sweep
+goes on.
 
 ``sweep_rows_json`` and ``suite_json`` build the JSON records that the
 text and CSV views (``sweep_text``, ``csv_row``, ``suite_text``) render.
@@ -147,16 +149,22 @@ def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 4096) -> bo
     of ``_BLOCK_WORDS // len(block)`` probes (at least one) per pass: a
     broadcast pass of that many pairs keeps its temporaries in cache, and
     a small code needs few passes instead of one per probe.
+
+    The passes run in uint32 when the words fit, alpha + 2 beta <= 32, and
+    in uint64 above that: the adder and ``gray_array`` keep their input's
+    dtype, and half the bits of a uint64 temporary of a narrow code would
+    be zeros the check never reads.
     """
-    arr = code.words()
     alpha, beta = code.alpha, code.beta
+    dtype = np.uint32 if alpha + 2 * beta <= 32 else np.uint64
+    arr = code.words().astype(dtype, copy=False)
     if len(arr) <= exhaustive_limit:
         probes = arr
     else:
-        probes = np.array([w.packed for w in code.basis_words()], dtype=np.uint64)
+        probes = np.array([w.packed for w in code.basis_words()], dtype=dtype)
     column = probes[:, None]
     images = gray_array(column, alpha, beta)
-    lo_mask, shift = np.uint64(((1 << beta) - 1) << alpha), np.uint64(beta)
+    lo_mask, shift = ((1 << beta) - 1) << alpha, beta
     for start in range(0, len(arr), _BLOCK_WORDS):
         block = arr[start:start + _BLOCK_WORDS]
         masks = gray_array(block, alpha, beta)
@@ -326,14 +334,15 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
 class SweepRow:
     spec: CyclicSpec
     report: CheckReport | None  # None when the code is too large to enumerate
+    error: str | None = None  # "Type: message" when cross_check raised instead
 
     @property
     def guarded(self) -> bool:
-        return self.report is None
+        return self.report is None and self.error is None
 
     @property
     def ok(self) -> bool:
-        return self.guarded or self.report.passed
+        return self.guarded or self.report is not None and self.report.passed
 
 
 @dataclass(frozen=True)
@@ -353,7 +362,12 @@ class SweepSummary:
 
     @property
     def failures(self) -> tuple[SweepRow, ...]:
+        """Rows that failed a check or raised; ``errors`` are the latter."""
         return tuple(r for r in self.rows if not r.ok)
+
+    @property
+    def errors(self) -> tuple[SweepRow, ...]:
+        return tuple(r for r in self.rows if r.error is not None)
 
     @property
     def passed(self) -> bool:
@@ -366,6 +380,8 @@ def _sweep_one(args: tuple[CyclicSpec, int]) -> SweepRow:
         return SweepRow(spec, cross_check(spec, max_words=max_words))
     except SizeGuardError:
         return SweepRow(spec, None)
+    except Exception as exc:  # one bad spec must not abort the sweep
+        return SweepRow(spec, None, f"{type(exc).__name__}: {' '.join(str(exc).split())}")
 
 
 def sweep(
@@ -379,7 +395,9 @@ def sweep(
     """Cross-check every valid spec in the range, in a fixed order.
 
     Specs whose codes exceed the word budget are recorded as guarded
-    rows, not failures.  Scheduling never changes the output: rows come
+    rows, not failures; a spec whose cross-check raises anything else is
+    an error row, which names the exception and counts as a failure.
+    Scheduling never changes the output: rows come
     back in enumeration order regardless of the worker count.
     """
     specs = [
@@ -426,7 +444,8 @@ def _mark(verdict: str) -> str:
 
 def sweep_rows_json(summary: SweepSummary) -> list[dict]:
     """One record per row, which ``sweep_text`` and ``csv_row`` render; a
-    guarded row has no closed-form fields, and an unchecked one no verdict."""
+    guarded or error row has no closed-form fields, and an unchecked one
+    no verdict."""
     out = []
     for row in summary.rows:
         t = type_from_degrees(row.spec)
@@ -434,6 +453,8 @@ def sweep_rows_json(summary: SweepSummary) -> list[dict]:
         rep = row.report
         if row.guarded:
             d["verdict"] = "guarded"
+        elif row.error is not None:
+            d.update(verdict="error", error=row.error)
         else:
             d.update(kernel_dim=rep.kernel_dim, rank=rep.rank,
                      k_prime=str(rep.k_prime), r=str(rep.r))
@@ -471,10 +492,14 @@ def sweep_text(summary: SweepSummary) -> str:
         lines.append("  ".join(cells))
         if "witness" in d:
             lines.append(f"    witness: {d['witness']}")
+        if "error" in d:
+            lines.append(f"    cause: {d['error']}")
     if summary.checked:
+        errors = len(summary.errors)
         lines.append(
             f"{summary.total} specs checked, {summary.guarded} guarded, "
             f"{len(summary.failures)} failures"
+            + (f", {errors} of them errors" if errors else "")
         )
     else:
         lines.append(f"{summary.total} specs")

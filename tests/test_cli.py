@@ -234,6 +234,29 @@ def test_search_verify(capsys):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_verify_prints_every_row_then_exits_4_on_an_error_row(
+        monkeypatch, capsys, workers):
+    argv = ["search", "--alpha", "1", "--beta", "3", "--verify",
+            "--workers", workers, "--format", "json"]
+    rc, out, _ = _run(capsys, argv)
+    clean = json.loads(out)
+    real = verify.cross_check
+
+    def cross_check(spec, max_words):
+        if cyclic.spec_to_dict(spec).items() <= clean[3].items():
+            raise RuntimeError("broken library call")
+        return real(spec, max_words=max_words)
+
+    monkeypatch.setattr(verify, "cross_check", cross_check)
+    rc, out, err = _run(capsys, argv)
+    assert (rc, err) == (cli.EXIT_INTERNAL, "")
+    rows = json.loads(out)
+    assert len(rows) == len(clean) == 24
+    assert rows[:3] + rows[4:] == clean[:3] + clean[4:]
+    assert (rows[3]["verdict"], rows[3]["error"]) == ("error", "RuntimeError: broken library call")
+
+
 def test_search_type_prefix_must_match(capsys):
     rc, _, err = _run(capsys, [
         "search", "--alpha", "2", "--beta", "7", "--type", "1,7:2,3",

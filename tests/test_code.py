@@ -203,6 +203,39 @@ def test_packed_arrays_match_words(case):
                 assert int(images[r, i]) == (c + v).gray
 
 
+@st.composite
+def narrow_word_lists(draw):
+    """(alpha, beta, words, w): up to 20 words and one more, alpha + 2 beta <= 32."""
+    beta = draw(st.integers(0, 16))
+    alpha = draw(st.integers(0 if beta else 1, 32 - 2 * beta))
+    return alpha, beta, draw(st.lists(words(alpha, beta), max_size=20)), draw(words(alpha, beta))
+
+
+@given(narrow_word_lists())
+@example((0, 16, [Word(0, 16, 0, 1 << 15, 1 << 15)], Word(0, 16, 0, (1 << 16) - 1, 0)))
+@example((32, 0, [Word(32, 0, (1 << 32) - 1, 0, 0)], Word(32, 0, 1 << 31, 0, 0)))
+def test_packed_kernels_keep_a_uint32_input_in_uint32(case):
+    # a numpy uint64 constant in a kernel would widen every uint32 pass
+    alpha, beta, ws, w = case
+    packed = [v.packed for v in ws]
+    narrow, wide = (np.array(packed, dtype=t) for t in (np.uint32, np.uint64))
+    k = min(3, len(packed))
+    kernels = (
+        lambda a, t: _add_packed(a, t(w.packed), alpha, beta),  # a scalar, as _cosets adds
+        lambda a, t: _star2_packed(a, t(w.packed), alpha, beta),
+        lambda a, t: _add_packed(a, a[:k, None], alpha, beta),  # a (k, B) grid
+        lambda a, t: _star2_packed(a[:k, None], a, alpha, beta),
+        lambda a, t: gray_array(a, alpha, beta),
+        lambda a, t: gray_array(_add_packed(a[:k, None], a, alpha, beta), alpha, beta),
+        lambda a, t: ungray_array(a, alpha, beta),
+        lambda a, t: ungray_array(gray_array(a[:k, None] ^ a, alpha, beta), alpha, beta),
+    )
+    for kernel in kernels:
+        got, want = kernel(narrow, np.uint32), kernel(wide, np.uint64)
+        assert got.dtype == np.uint32 and want.dtype == np.uint64
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_ambient_guard():
     with pytest.raises(SizeGuardError):
         AdditiveCode(40, 20, [])

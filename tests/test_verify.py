@@ -149,14 +149,29 @@ def _gray_bit_flipped_at(word):
     return gray_array
 
 
-@pytest.mark.parametrize("alpha, beta", [(2, 5), (2, 7)])
+def _top_carry_code(alpha, beta):
+    # 16 words, not a full ambient: the only order-4 entry is in the last
+    # quaternary coordinate, so every carry lands on the top bit
+    last = 1 << (beta - 1)
+    return AdditiveCode(alpha, beta, [Word(alpha, beta, 1, last, 0),
+                                      Word(alpha, beta, 2, 0, 0b101),
+                                      Word(alpha, beta, 0, 0, last >> 1)])
+
+
+@pytest.mark.parametrize("alpha, beta", [(2, 5), (2, 7), (2, 15), (3, 15)])
 def test_gray_identity_check_catches_a_wrong_carry_and_a_wrong_gray_bit(
         monkeypatch, alpha, beta):
     # 2^12 words take every word as a probe; 2^16 words, four blocks,
-    # take the basis words
-    code = _ambient_code(alpha, beta)
+    # take the basis words.  At 32 bits the check runs in uint32 and the
+    # carries land on its top bit, 31; at 33 bits they land on bit 32,
+    # which a uint32 pass would drop, and the dropped carry would pass
+    bits = alpha + 2 * beta
+    code = _top_carry_code(alpha, beta) if bits > 16 else _ambient_code(alpha, beta)
     arr = code.words()
-    assert len(arr) == 1 << (alpha + 2 * beta)
+    assert len(arr) == (16 if bits > 16 else 1 << bits)
+    if bits > 16:
+        carries = code_module._star2_packed(arr[:, None], arr, alpha, beta)
+        assert set(carries.ravel().tolist()) == {0, 1 << (bits - 1)}
     assert verify._gray_identity_holds(code)
     top = int(arr[-1])
     if len(arr) > _BLOCK_WORDS:
@@ -264,6 +279,41 @@ def test_sweep_guard_skips_large_codes():
     assert "guarded" in text
     csv_out = sweep_rows_csv(summary)
     assert ",,,,guarded" in csv_out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_spec_whose_cross_check_raises_becomes_an_error_row(monkeypatch, workers):
+    clean = sweep(alpha_max=1, betas=(1, 3), workers=1)
+    bad = clean.rows[5].spec
+    real = verify.cross_check
+
+    def cross_check(spec, max_words):
+        if spec == bad:
+            raise ValueError("broken\n  library call")
+        return real(spec, max_words=max_words)
+
+    monkeypatch.setattr(verify, "cross_check", cross_check)
+    summary = sweep(alpha_max=1, betas=(1, 3), workers=workers)
+    assert [r.spec for r in summary.rows] == [r.spec for r in clean.rows]
+    row = summary.rows[5]
+    assert (row.report, row.error) == (None, "ValueError: broken library call")
+    assert not (row.guarded or row.ok or summary.passed)
+    assert summary.errors == summary.failures == (row,)
+    # every other row renders as in the clean sweep; the error row has
+    # no closed-form fields
+    got, want = sweep_rows_csv(summary).splitlines(), sweep_rows_csv(clean).splitlines()
+    assert got[:6] + got[7:] == want[:6] + want[7:]
+    assert got[6].endswith(",,,,,error") and got[6].startswith(want[6][:9])
+    records = sweep_rows_json(summary)
+    assert records[:5] + records[6:] == sweep_rows_json(clean)[:5] + sweep_rows_json(clean)[6:]
+    assert records[5]["verdict"] == "error"
+    assert records[5]["error"] == "ValueError: broken library call"
+    assert "kernel_dim" not in records[5]
+    got, want = sweep_text(summary).splitlines(), sweep_text(clean).splitlines()
+    assert got[:5] + got[7:-1] == want[:5] + want[6:-1]
+    assert got[5].endswith("  error")
+    assert got[6] == "    cause: ValueError: broken library call"
+    assert got[-1] == "32 specs checked, 0 guarded, 1 failures, 1 of them errors"
 
 
 def test_sweep_type_filter():

@@ -333,8 +333,8 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
 @dataclass(frozen=True)
 class SweepRow:
     spec: CyclicSpec
-    report: CheckReport | None  # None when the code is too large to enumerate
-    error: str | None = None  # "Type: message" when cross_check raised instead
+    report: CheckReport | None  # None when the code is too large to enumerate,
+    error: str | None = None  # or "Type: message" when cross_check raised
 
     @property
     def guarded(self) -> bool:
@@ -397,8 +397,8 @@ def sweep(
     Specs whose codes exceed the word budget are recorded as guarded
     rows, not failures; a spec whose cross-check raises anything else is
     an error row, which names the exception and counts as a failure.
-    Scheduling never changes the output: rows come
-    back in enumeration order regardless of the worker count.
+    Scheduling never changes the output: rows come back in enumeration
+    order regardless of the worker count.
     """
     specs = [
         spec

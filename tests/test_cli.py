@@ -240,6 +240,7 @@ def test_search_verify_prints_every_row_then_exits_4_on_an_error_row(
     argv = ["search", "--alpha", "1", "--beta", "3", "--verify",
             "--workers", workers, "--format", "json"]
     rc, out, _ = _run(capsys, argv)
+    assert rc == 0
     clean = json.loads(out)
     real = verify.cross_check
 

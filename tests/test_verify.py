@@ -304,8 +304,8 @@ def test_a_spec_whose_cross_check_raises_becomes_an_error_row(monkeypatch, worke
     got, want = sweep_rows_csv(summary).splitlines(), sweep_rows_csv(clean).splitlines()
     assert got[:6] + got[7:] == want[:6] + want[7:]
     assert got[6].endswith(",,,,,error") and got[6].startswith(want[6][:9])
-    records = sweep_rows_json(summary)
-    assert records[:5] + records[6:] == sweep_rows_json(clean)[:5] + sweep_rows_json(clean)[6:]
+    records, want = sweep_rows_json(summary), sweep_rows_json(clean)
+    assert records[:5] + records[6:] == want[:5] + want[6:]
     assert records[5]["verdict"] == "error"
     assert records[5]["error"] == "ValueError: broken library call"
     assert "kernel_dim" not in records[5]

@@ -2,14 +2,14 @@
 
 A word is stored as three bitplanes: ``u`` for the binary block and
 ``lo``/``hi`` for the quaternary block, where the coordinate value is
-``lo_i + 2*hi_i``.  A whole code is a sorted numpy uint64 array of
-packed words, and every bulk operation (enumeration, Gray images,
-membership, kernels, spans) is a few vectorized bitplane ops, so the
-oracles stay exact while handling millions of words.  The packed-word
-kernels (``_add_packed``, ``_star2_packed``, ``gray_array``,
-``ungray_array``) keep their input's dtype: their masks and shift counts
-are Python ints, which numpy casts to the array's width, so a uint32
-array of words of at most 32 bits stays uint32.
+``lo_i + 2*hi_i``.  A whole code is a sorted numpy array of packed
+words, in the one dtype ``_word_dtype`` gives its width: uint32 up to 32
+bits (alpha + 2 beta, or a binary code's ``length``), uint64 above.  Every
+bulk operation (enumeration, Gray images, membership, kernels, spans) is
+a few vectorized bitplane ops, so the oracles stay exact while handling
+millions of words.  The packed-word kernels (``_add_packed``,
+``_star2_packed``, ``gray_array``, ``ungray_array``) keep their input's
+dtype: their masks and shift counts are Python ints, cast to its width.
 
 Structure never comes from enumeration: ``group_basis`` extracts a
 basis split into order-4 and order-2 rows by exact elimination over the
@@ -21,7 +21,7 @@ Enumeration is only used by the brute-force oracles, guarded by
 
 Every GF(2) elimination (the order-2 stage of ``group_basis``, the
 standard form, binary codes and type counting) goes through
-``_f2_rref_with_trace``; ``_echelon_uint64`` only pre-reduces numpy mask
+``_f2_rref_with_trace``; ``_echelon`` only pre-reduces numpy mask
 arrays for it.  It reduces a large array ``_BLOCK_WORDS`` masks at a
 time by the pivots found so far and stops at full rank, because a pass
 over a whole array of a million words streams it through main memory,
@@ -48,15 +48,16 @@ import numpy as np
 from .errors import SizeGuardError
 
 DEFAULT_MAX_WORDS = 1 << 24
-# words per block of the blocked array passes: one uint64 temporary of
-# a block is 128 KiB, a uint32 one 64 KiB, small enough to stay in a
-# core's L2 cache
+# words per block of the blocked array passes: one temporary of a block
+# is 64 KiB in uint32, the dtype of every ambient of at most 32 bits, and
+# 128 KiB in uint64, small enough to stay in a core's L2 cache
 _BLOCK_WORDS = 1 << 14
 AMBIENT_BIT_LIMIT = 62
 
 
-def _u64(v: int) -> np.uint64:
-    return np.uint64(v)
+def _word_dtype(bits: int) -> type:
+    """The dtype of packed arrays of ``bits``-bit words or masks."""
+    return np.uint32 if bits <= 32 else np.uint64
 
 
 class Word:
@@ -246,8 +247,8 @@ def ungray(bits: int, alpha: int, beta: int) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# vectorized plane helpers on packed word arrays, uint64 or any unsigned
-# dtype wide enough for alpha + 2 beta bits
+# vectorized plane helpers on packed word arrays of any unsigned dtype
+# wide enough for alpha + 2 beta bits
 
 
 def _split(arr: np.ndarray, alpha: int, beta: int):
@@ -272,7 +273,7 @@ def _add_packed(a, b, alpha: int, beta: int):
 
 def _cosets(arr: np.ndarray, w: Word) -> np.ndarray:
     """``arr`` followed by ``arr + c*w`` for each 1 <= c < order(w)."""
-    return np.concatenate([arr] + [_add_packed(arr, _u64((w * c).packed), w.alpha, w.beta)
+    return np.concatenate([arr] + [_add_packed(arr, (w * c).packed, w.alpha, w.beta)
                                    for c in range(1, w.order())])
 
 
@@ -302,7 +303,7 @@ def ungray_array(bits: np.ndarray, alpha: int, beta: int) -> np.ndarray:
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
     """Distinct values in ascending order: a sort, then each element
     that differs from its predecessor.  numpy 2.x's own unique hashes,
-    which is many times slower on large uint64 arrays."""
+    which is many times slower on large arrays."""
     arr = np.sort(arr)
     if len(arr) < 2:
         return arr
@@ -574,13 +575,13 @@ class CodeType:
 # binary codes (Gray images live here)
 
 
-def _echelon_uint64(masks: np.ndarray, length: int) -> list[int]:
+def _echelon(masks: np.ndarray, length: int) -> list[int]:
     """Row echelon pivots of a mask array, in descending leading-bit order.
 
-    The array is taken ``_BLOCK_WORDS`` masks at a time, one vectorized
-    pass per bit: a bit that already has a pivot clears it from the
-    block, any other bit takes its pivot from the block.  Blocks stop
-    once every bit has a pivot.
+    The array, whose dtype must hold ``length`` bits, is taken
+    ``_BLOCK_WORDS`` masks at a time, one vectorized pass per bit: a bit
+    that already has a pivot clears it from the block, any other bit
+    takes its pivot from the block.  Blocks stop once every bit has a pivot.
     """
     pivots: dict[int, int] = {}
     for start in range(0, len(masks), _BLOCK_WORDS):
@@ -591,12 +592,12 @@ def _echelon_uint64(masks: np.ndarray, length: int) -> list[int]:
         for bit in range(length - 1, -1, -1):
             if work.size == 0:
                 break
-            hit = (work & _u64(1 << bit)) != 0
+            hit = (work & (1 << bit)) != 0
             if not bool(hit.any()):
                 continue
             if bit not in pivots:
                 pivots[bit] = int(work[int(np.argmax(hit))])
-            work = np.where(hit, work ^ _u64(pivots[bit]), work)
+            work = np.where(hit, work ^ pivots[bit], work)
             work = work[work != 0]
     return [pivots[bit] for bit in sorted(pivots, reverse=True)]
 
@@ -612,7 +613,7 @@ class BinaryCode:
     def from_masks(cls, length: int, masks) -> "BinaryCode":
         """The span of ``masks``; each basis row's pivot is its lowest bit."""
         if isinstance(masks, np.ndarray):
-            masks = _echelon_uint64(masks, length)
+            masks = _echelon(masks, length)
         pivots, _ = _f2_rref_with_trace(masks, range(length))
         return cls(length, tuple(sorted((v for v, _, _ in pivots), reverse=True)))
 
@@ -630,9 +631,9 @@ class BinaryCode:
                 f"binary code has {self.size} words, above the {max_words} budget",
                 predicted=self.size,
             )
-        arr = np.zeros(1, dtype=np.uint64)
+        arr = np.zeros(1, dtype=_word_dtype(self.length))
         for b in self.basis:
-            arr = np.concatenate([arr, arr ^ _u64(b)])
+            arr = np.concatenate([arr, arr ^ b])
         arr.sort()
         return arr
 
@@ -679,12 +680,18 @@ class AdditiveCode:
         """Rebuild a code from the exact set of its packed words.
 
         Generators are extracted by growing a span until it covers the
-        input; if the input is not additively closed this raises.
+        input; if the input is not additively closed, or holds a value of
+        more than alpha + 2 beta bits, this raises.
         """
-        arr = _sorted_unique(np.asarray(packed, dtype=np.uint64))
+        bits = alpha + 2 * beta
+        arr = np.asarray(packed)
+        # checked before the cast to the ambient's dtype, which would wrap
+        if arr.size and (arr.min() < 0 or int(arr.max()) >> bits):
+            raise ValueError(f"a packed value lies outside the {bits}-bit ambient")
+        arr = _sorted_unique(arr.astype(_word_dtype(bits), copy=False))
         if len(arr) == 0 or arr[0] != 0:
             raise ValueError("a code must contain the zero word")
-        span = np.zeros(1, dtype=np.uint64)
+        span = np.zeros(1, dtype=arr.dtype)
         gens: list[Word] = []
         while len(span) < len(arr):
             # both arrays are sorted, so where they first differ arr holds
@@ -725,7 +732,7 @@ class AdditiveCode:
                     f"code has {gb.size} words, above the {self.max_words} budget",
                     predicted=gb.size,
                 )
-            arr = np.zeros(1, dtype=np.uint64)
+            arr = np.zeros(1, dtype=_word_dtype(self.alpha + 2 * self.beta))
             for w in self.basis_words():
                 arr = _cosets(arr, w)
             arr.sort()
@@ -869,12 +876,12 @@ def kernel_bruteforce(code: AdditiveCode) -> AdditiveCode:
     arr = code.words()
     alpha, beta = code.alpha, code.beta
     # the residue plane left in place, so each residue is a packed word
-    lo = arr & _u64(((1 << beta) - 1) << alpha)
+    lo = arr & (((1 << beta) - 1) << alpha)
     residues = _sorted_unique(lo)
     passed = np.ones(len(residues), dtype=bool)
     for w in code.basis_words():
         if w.lo:
-            passed &= code.membership_mask(_star2_packed(residues, _u64(w.packed), alpha, beta))
+            passed &= code.membership_mask(_star2_packed(residues, w.packed, alpha, beta))
     kept = arr if passed.all() else arr[_isin_sorted(residues[passed], lo)]
     return AdditiveCode.from_words(alpha, beta, kept, max_words=code.max_words)
 

@@ -150,18 +150,16 @@ def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 4096) -> bo
     broadcast pass of that many pairs keeps its temporaries in cache, and
     a small code needs few passes instead of one per probe.
 
-    The passes run in uint32 when the words fit, alpha + 2 beta <= 32, and
-    in uint64 above that: the adder and ``gray_array`` keep their input's
-    dtype, and half the bits of a uint64 temporary of a narrow code would
-    be zeros the check never reads.
+    The passes run in the dtype of ``code.words()``, uint32 when
+    alpha + 2 beta <= 32 and uint64 above: the adder and ``gray_array``
+    keep their input's dtype.
     """
     alpha, beta = code.alpha, code.beta
-    dtype = np.uint32 if alpha + 2 * beta <= 32 else np.uint64
-    arr = code.words().astype(dtype, copy=False)
+    arr = code.words()
     if len(arr) <= exhaustive_limit:
         probes = arr
     else:
-        probes = np.array([w.packed for w in code.basis_words()], dtype=dtype)
+        probes = np.array([w.packed for w in code.basis_words()], dtype=arr.dtype)
     column = probes[:, None]
     images = gray_array(column, alpha, beta)
     lo_mask, shift = ((1 << beta) - 1) << alpha, beta

@@ -327,6 +327,65 @@ def test_from_words_requires_closure():
         AdditiveCode.from_words(1, 1, np.array([3], dtype=np.uint64))
 
 
+@pytest.mark.parametrize("alpha, beta, packed", [
+    (1, 1, [0, 8]),  # a 4th bit, masked away by Word.from_packed
+    (1, 1, [0, 1 << 63]),
+    (2, 15, [0, 1 << 32]),  # 0 in uint32
+    (2, 15, [0, (1 << 32) | 1]),  # 1, a word, in uint32
+    (3, 15, [0, 1 << 33]),
+])
+def test_from_words_rejects_values_outside_the_ambient(alpha, beta, packed):
+    for arr in (packed, np.array(packed, dtype=np.uint64)):
+        with pytest.raises(ValueError, match="outside"):
+            AdditiveCode.from_words(alpha, beta, arr)
+
+
+def _group_words(gens) -> list[int]:
+    """Sorted packed words of the group ``gens`` generate, by ``Word`` sums."""
+    zero = gens[0] * 0
+    group = {zero}
+    for g in gens:
+        group |= {v + g * c for v in group for c in range(1, g.order())}
+    return sorted(v.packed for v in group)
+
+
+def _xor_span(masks) -> list[int]:
+    span = {0}
+    for m in masks:
+        span |= {s ^ m for s in span}
+    return sorted(span)
+
+
+@settings(deadline=None)
+@given(small_codes())
+@example(AdditiveCode(2, 15, [Word(2, 15, 3, 1 << 14, 1), Word(2, 15, 1, 0, 1 << 14)]))
+@example(AdditiveCode(3, 15, [Word(3, 15, 4, 1 << 14, 1), Word(3, 15, 1, 0, 1 << 14)]))
+def test_packed_arrays_take_the_ambient_dtype(code):
+    # uint32 up to 32 ambient bits, uint64 above; the values are the
+    # ones Word arithmetic gives
+    a, b = code.alpha, code.beta
+    dtype = np.uint32 if a + 2 * b <= 32 else np.uint64
+    words = _group_words(code.generators)
+    rebuilt = AdditiveCode.from_words(a, b, np.array(words, dtype=np.uint64))
+    kernel = kernel_bruteforce(code)
+    span = span_bruteforce(code).binary_span
+    lifted = gray_preimage(span, a, b)
+    vs = [Word.from_packed(p, a, b) for p in words]
+    basis = code.basis_words()
+    got_want = (
+        (code.words(), words),
+        (rebuilt.words(), words),
+        (kernel.words(), [v.packed for v in vs
+                          if all(code.contains(star2(v, w)) for w in basis)]),
+        (span.words(), _xor_span(span.basis)),
+        (lifted.words(), sorted(ungray(m, a, b).packed for m in _xor_span(span.basis))),
+    )
+    for got, want in got_want:
+        assert got.dtype == dtype
+        assert got.tolist() == want
+    assert span == BinaryCode.from_masks(a + 2 * b, [v.gray for v in vs])
+
+
 @given(u64_lists, u64_lists)
 @example([], [])
 @example([5], [])
@@ -334,12 +393,15 @@ def test_from_words_requires_closure():
 @example([3, 3, 3, 3], [3])
 @example([(1 << 64) - 1, 1 << 63, 0], [(1 << 64) - 1, (1 << 64) - 1])
 def test_sorted_primitives_match_numpy(xs, ys):
-    a = np.array(xs, dtype=np.uint64)
-    b = np.array(ys, dtype=np.uint64)
-    got = _sorted_unique(a)
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, np.unique(a))
-    assert np.array_equal(_isin_sorted(np.unique(b), a), np.isin(a, b))
+    # in uint32 a value of more than 32 bits keeps its top half, so bit
+    # 63 becomes bit 31
+    for dtype, narrow in ((np.uint64, lambda x: x), (np.uint32, lambda x: x >> 32 or x)):
+        a = np.array([narrow(x) for x in xs], dtype=dtype)
+        b = np.array([narrow(y) for y in ys], dtype=dtype)
+        got = _sorted_unique(a)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.unique(a))
+        assert np.array_equal(_isin_sorted(np.unique(b), a), np.isin(a, b))
 
 
 @settings(deadline=None)
@@ -368,6 +430,11 @@ def test_contains_and_membership_mask():
     arr = code.words()
     assert bool(np.all(code.membership_mask(arr)))
     assert not bool(code.membership_mask(np.array([1], dtype=np.uint64))[0])
+    # a uint64 query of a uint32 code: low 32 bits that are a codeword do
+    # not make a member
+    assert arr.dtype == np.uint32
+    wide = np.array([(1 << 32) | int(arr[-1]), 1 << 40, int(arr[-1])], dtype=np.uint64)
+    assert code.membership_mask(wide).tolist() == [False, False, True]
 
 
 def test_word_budget_guard():
@@ -395,11 +462,12 @@ def test_binary_code_rrefs():
     )
 
 
-def test_echelon_fast_path_matches_scalar_loop():
+@pytest.mark.parametrize("dtype, max_length", [(np.uint64, 48), (np.uint32, 33)])
+def test_echelon_fast_path_matches_scalar_loop(dtype, max_length):
     rng = np.random.default_rng(11)
     for _ in range(50):
-        length = int(rng.integers(1, 48))
-        masks = rng.integers(0, 1 << length, size=64, dtype=np.uint64)
+        length = int(rng.integers(1, max_length))
+        masks = rng.integers(0, 1 << length, size=64, dtype=dtype)
         assert BinaryCode.from_masks(length, masks) == BinaryCode.from_masks(
             length, (int(m) for m in masks)
         )

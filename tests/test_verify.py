@@ -145,7 +145,7 @@ def _carry_dropped(a, b, alpha, beta):
 def _gray_bit_flipped_at(word):
     def gray_array(arr, alpha, beta):
         out = code_module.gray_array(arr, alpha, beta)
-        return np.where(arr == np.uint64(word), out ^ np.uint64(1), out)
+        return np.where(arr == word, out ^ 1, out)
     return gray_array
 
 
@@ -198,7 +198,7 @@ def test_gray_identity_check_adds_every_probe_to_every_word(
     probes = arr if exhaustive else [w.packed for w in code.basis_words()]
     assert (len(arr) <= 4096) == exhaustive
     # the last probe meets the last word only in the last pass
-    last = (np.uint64(probes[-1]), arr[-1])
+    last = (int(probes[-1]), int(arr[-1]))
     pairs, hits = [], []
 
     def adder(fault):
@@ -207,7 +207,7 @@ def test_gray_identity_check_adds_every_probe_to_every_word(
             pairs.append(np.broadcast(a, b).size)
             hit = ((a == last[0]) & (b == last[1])) | ((a == last[1]) & (b == last[0]))
             hits.append(int(np.count_nonzero(hit)))
-            return out ^ (hit.astype(np.uint64) if fault else np.uint64(0))
+            return np.where(hit, out ^ 1, out) if fault else out
         return add
 
     monkeypatch.setattr(verify, "_add_packed", adder(False))

@@ -17,7 +17,8 @@ mixed alphabet; that basis is canonical, so it is also the identity of a
 code (``AdditiveCode.__eq__``/``__hash__``).  ``howell_rows`` is an
 independent canonical form, kept as a reference for that identity.
 Enumeration is only used by the brute-force oracles, guarded by
-``max_words``.
+``max_words`` and, past ``AMBIENT_BIT_LIMIT`` bits, by ``_word_dtype``;
+the structure layer reads no array, so it works at any length.
 
 Every GF(2) elimination (the order-2 stage of ``group_basis``, the
 standard form, binary codes and type counting) goes through
@@ -32,8 +33,8 @@ intersection) go through ``_sorted_unique`` and ``_isin_sorted``, and
 arithmetic on packed words (sums, doubled products) goes through
 ``_add_packed`` and ``_star2_packed``, which broadcast like any numpy
 operator, so one call adds a word to an array or a column of words to a
-row of them.  Enumeration grows a word array one generator at a time
-with ``_cosets``.
+row of them.  ``_enumerate`` lists an additive or a binary code, growing
+a word array one basis word at a time with ``_cosets``.
 
 ``Word``'s bitplane arithmetic is the only Z4 arithmetic: the group
 basis, Howell form, membership and standard form all reduce ``Word``s,
@@ -48,15 +49,18 @@ import numpy as np
 from .errors import SizeGuardError
 
 DEFAULT_MAX_WORDS = 1 << 24
-# words per block of the blocked array passes: one temporary of a block
-# is 64 KiB in uint32, the dtype of every ambient of at most 32 bits, and
-# 128 KiB in uint64, small enough to stay in a core's L2 cache
+# words per block of the blocked array passes: a block's temporary, 64 KiB
+# in uint32 and 128 KiB in uint64, is small enough to stay in L2 cache
 _BLOCK_WORDS = 1 << 14
 AMBIENT_BIT_LIMIT = 62
 
 
 def _word_dtype(bits: int) -> type:
-    """The dtype of packed arrays of ``bits``-bit words or masks."""
+    """The dtype of packed arrays of ``bits``-bit words or masks, and so
+    the one width guard of every enumeration."""
+    if bits > AMBIENT_BIT_LIMIT:
+        raise SizeGuardError(f"ambient space needs {bits} bits, above {AMBIENT_BIT_LIMIT}",
+                             predicted=1 << bits)
     return np.uint32 if bits <= 32 else np.uint64
 
 
@@ -272,9 +276,26 @@ def _add_packed(a, b, alpha: int, beta: int):
 
 
 def _cosets(arr: np.ndarray, w: Word) -> np.ndarray:
-    """``arr`` followed by ``arr + c*w`` for each 1 <= c < order(w)."""
+    """``arr`` followed by ``arr + c*w`` for each 1 <= c < order(w); a word
+    of order 2 has no residue to carry, so it adds as a plain XOR."""
+    if w.order() == 2:
+        return np.concatenate([arr, arr ^ w.packed])
     return np.concatenate([arr] + [_add_packed(arr, (w * c).packed, w.alpha, w.beta)
                                    for c in range(1, w.order())])
+
+
+def _enumerate(bits: int, basis, size: int, max_words: int) -> np.ndarray:
+    """The ``size`` words ``basis`` generates, sorted; width guard first, then budget."""
+    arr = np.zeros(1, dtype=_word_dtype(bits))
+    if size > max_words:
+        raise SizeGuardError(f"code has {size} words, above the {max_words} budget",
+                             predicted=size)
+    for w in basis:
+        arr = _cosets(arr, w)
+    arr.sort()
+    if len(arr) != size:
+        raise AssertionError("enumeration does not match the basis order")
+    return arr
 
 
 def gray_array(arr: np.ndarray, alpha: int, beta: int) -> np.ndarray:
@@ -626,16 +647,8 @@ class BinaryCode:
         return 1 << self.dim
 
     def words(self, max_words: int = DEFAULT_MAX_WORDS) -> np.ndarray:
-        if self.size > max_words:
-            raise SizeGuardError(
-                f"binary code has {self.size} words, above the {max_words} budget",
-                predicted=self.size,
-            )
-        arr = np.zeros(1, dtype=_word_dtype(self.length))
-        for b in self.basis:
-            arr = np.concatenate([arr, arr ^ b])
-        arr.sort()
-        return arr
+        basis = [Word(self.length, 0, m, 0, 0) for m in self.basis]
+        return _enumerate(self.length, basis, self.size, max_words)
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +667,6 @@ class AdditiveCode:
     def __init__(self, alpha: int, beta: int, generators, max_words: int = DEFAULT_MAX_WORDS):
         if alpha < 0 or beta < 0 or alpha + beta == 0:
             raise ValueError("need alpha, beta >= 0 with alpha + beta > 0")
-        if alpha + 2 * beta > AMBIENT_BIT_LIMIT:
-            raise SizeGuardError(
-                f"ambient space needs {alpha + 2 * beta} bits, above {AMBIENT_BIT_LIMIT}",
-                predicted=1 << (alpha + 2 * beta),
-            )
         gens = tuple(generators)
         for w in gens:
             if w.alpha != alpha or w.beta != beta:
@@ -724,20 +732,10 @@ class AdditiveCode:
         return self.basis.words4 + self.basis.words2
 
     def words(self) -> np.ndarray:
-        """Sorted packed array of all words; guarded by ``max_words``."""
+        """Sorted packed array of all words; guarded by ``max_words`` and the width."""
         if self._words is None:
-            gb = self.basis
-            if gb.size > self.max_words:
-                raise SizeGuardError(
-                    f"code has {gb.size} words, above the {self.max_words} budget",
-                    predicted=gb.size,
-                )
-            arr = np.zeros(1, dtype=_word_dtype(self.alpha + 2 * self.beta))
-            for w in self.basis_words():
-                arr = _cosets(arr, w)
-            arr.sort()
-            if len(arr) != gb.size:
-                raise AssertionError("enumeration does not match the basis order")
+            arr = _enumerate(self.alpha + 2 * self.beta, self.basis_words(), self.size,
+                             self.max_words)
             object.__setattr__(self, "_words", arr)
         return self._words
 

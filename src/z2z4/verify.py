@@ -12,9 +12,9 @@ The checks are the rows of ``_CHECKS``, in report order; each reads the
 objects of one ``_SpecObjects``, which the paper-suite fixtures share.
 ``cross_check`` enumerates the code before the first check, so a code
 over the word budget raises ``SizeGuardError`` (a guarded sweep row);
-a check that raises it later is listed as skipped.  Any other exception
-out of ``cross_check`` makes the spec an error sweep row, and the sweep
-goes on.
+a check that raises it later is skipped, and a witness that raises it
+says so.  Any other exception out of ``cross_check`` makes the spec an
+error sweep row, and the sweep goes on.
 
 ``sweep_rows_json`` and ``suite_json`` build the JSON records that the
 text and CSV views (``sweep_text``, ``csv_row``, ``suite_text``) render.
@@ -58,8 +58,8 @@ from .cyclic import (
     gray_linear,
     kernel_dim_candidates,
     kernel_spec,
-    linear_subcode_spec,
     materialize,
+    maximal_linear_subcodes,
     order_two_spec,
     poly_word,
     rank_candidates,
@@ -150,9 +150,8 @@ def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 4096) -> bo
     broadcast pass of that many pairs keeps its temporaries in cache, and
     a small code needs few passes instead of one per probe.
 
-    The passes run in the dtype of ``code.words()``, uint32 when
-    alpha + 2 beta <= 32 and uint64 above: the adder and ``gray_array``
-    keep their input's dtype.
+    The passes run in the dtype of ``code.words()``, ``_word_dtype``'s,
+    which the adder and ``gray_array`` keep.
     """
     alpha, beta = code.alpha, code.beta
     arr = code.words()
@@ -197,8 +196,7 @@ class _SpecObjects:
     kcode = cached_property(lambda o: o.build(o.kres.spec))
     koracle = cached_property(lambda o: kernel_bruteforce(o.code))
     kdim = cached_property(lambda o: _log2(o.koracle.size))
-    subcodes = cached_property(lambda o: [o.build(linear_subcode_spec(o.spec, k))
-                                          for k in o.kres.minimal_divisors])
+    subcodes = cached_property(lambda o: [o.build(s) for s in maximal_linear_subcodes(o.spec)])
     sres = cached_property(lambda o: span_bruteforce(o.code))
     rres = cached_property(lambda o: rank_spec(o.spec))
     rcode = cached_property(lambda o: o.build(o.rres.spec))
@@ -304,7 +302,7 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
     Raises ``SizeGuardError`` when the code itself is too large to
     enumerate.  A check that raises it afterwards needs a larger
     companion object (the lifted span) and is skipped and reported as
-    such instead.
+    such instead, and a witness that needs one says so.
     """
     o = _SpecObjects(spec, max_words)
     o.code.words()  # the code's own guard; no other object is larger but the span
@@ -320,7 +318,10 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
             continue
         checks.append((name, ok))
         if not ok and witness is None:
-            witness = f"{name}: {note(o)}" if note else name
+            try:
+                witness = f"{name}: {note(o)}" if note else name
+            except SizeGuardError:  # the note enumerates what the test compared whole
+                witness = f"{name}: witness over the word budget"
     return CheckReport(spec, tuple(checks), witness, tuple(skipped), o.kres, o.rres)
 
 

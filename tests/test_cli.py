@@ -205,6 +205,14 @@ def test_enumerate_respects_size_guard(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [["analyze", "--verify"], ["enumerate"]])
+def test_enumerating_commands_refuse_an_ambient_past_62_bits(command, capsys):
+    # 1 + 2 * 33 = 67 bits: the code builds, but its words have no dtype
+    rc, out, err = _run(capsys, [*command, "--alpha", "1", "--beta", "33",
+                                 "--f", "x^33+3", "--h", "1", "--g", "1"])
+    assert (rc, out, err) == (cli.EXIT_GUARD, "", "error: ambient space needs 67 bits, above 62\n")
+
+
 def test_search_guards_its_enumeration(capsys):
     rc, out, err = _run(capsys, ["search", "--alpha", "40", "--beta", "3"])
     assert rc == cli.EXIT_GUARD == 3

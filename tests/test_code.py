@@ -237,8 +237,17 @@ def test_packed_kernels_keep_a_uint32_input_in_uint32(case):
 
 
 def test_ambient_guard():
-    with pytest.raises(SizeGuardError):
-        AdditiveCode(40, 20, [])
+    # the structure layer takes any width; only what enumerates, and so
+    # needs a packed dtype, meets the 62-bit ceiling
+    code = AdditiveCode(40, 20, [])
+    assert code.size == 1
+    for enumerate_ in (code.words,
+                       lambda: AdditiveCode.from_words(40, 20, [0]),
+                       lambda: BinaryCode(80, ()).words(),
+                       lambda: gray_preimage(BinaryCode(80, ()), 40, 20)):
+        with pytest.raises(SizeGuardError, match="^ambient space needs 80 bits, above 62$") as e:
+            enumerate_()
+        assert e.value.predicted == 1 << 80
 
 
 def test_group_basis_and_size():

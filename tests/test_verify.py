@@ -8,8 +8,24 @@ import numpy as np
 import pytest
 
 from z2z4 import code as code_module, verify
-from z2z4.code import _BLOCK_WORDS, AdditiveCode, Word, kernel_bruteforce, ungray_array
-from z2z4.cyclic import cyclic_spec, enumerate_cyclic_specs, kernel_spec, materialize, rank_spec
+from z2z4.code import (
+    _BLOCK_WORDS,
+    AdditiveCode,
+    Word,
+    is_gray_linear_bruteforce,
+    kernel_bruteforce,
+    ungray_array,
+)
+from z2z4.cyclic import (
+    cardinality,
+    cyclic_spec,
+    enumerate_cyclic_specs,
+    gray_linear,
+    kernel_spec,
+    materialize,
+    rank_spec,
+)
+from z2z4.errors import SizeGuardError
 from z2z4.gf2 import BIN_ZERO, BinPoly
 from z2z4.verify import (
     CheckReport,
@@ -132,6 +148,23 @@ def test_failing_set_check_still_names_its_witness_word(monkeypatch):
     assert report.witness.startswith("kernel-set: word ")
 
 
+def test_a_failed_check_whose_witness_is_over_the_budget_stays_failed(monkeypatch):
+    # the 1-word code of (2, 3) against the 256-word span of the largest
+    # one, with its own r and rank: rank-set compares bases and fails, and
+    # its witness would enumerate 256 words, above a budget of 1
+    specs = list(enumerate_cyclic_specs(2, 3))
+    small, large = min(specs, key=cardinality), max(specs, key=cardinality)
+    assert (cardinality(small), cardinality(large)) == (1, 256)
+    real = rank_spec(small)
+    wrong = dataclasses.replace(real, spec=rank_spec(large).spec)
+    monkeypatch.setattr(verify, "rank_spec", lambda s: wrong)
+    report = cross_check(small, max_words=1)
+    assert report.failures == ("rank-set",)
+    assert report.witness == "rank-set: witness over the word budget"
+    row = verify._sweep_one((small, 1))
+    assert (row.guarded, row.ok, row.report.witness) == (False, False, report.witness)
+
+
 def _ambient_code(alpha, beta):
     # f = h = 1 and g = x^beta - 1: every word of Z2^alpha x Z4^beta
     g = QuatPoly((3,) + (0,) * (beta - 1) + (1,))
@@ -234,6 +267,30 @@ def test_budget_below_the_span_skips_the_rank_set_group():
     assert report.passed
     assert report.skipped == ("rank-set", "rank-cyclic", "code-in-span", "span-projection")
     assert [n for n, _ in report.checks] == [n for n in CHECK_NAMES if n not in report.skipped]
+
+
+# the rows of ``verify._CHECKS`` that read no enumerated object
+BASIS_ROWS = ("type-structure", "shift-invariance", "standard-form", "kernel-in-code",
+              "x-projection", "y-projection", "y-projection-size", "order-two-subcode",
+              "three-generators")
+
+
+@pytest.mark.parametrize("alpha, beta, count", [(1, 33, 648), (1, 41, 72)])
+def test_basis_rows_hold_past_the_62_bit_ceiling(alpha, beta, count):
+    # alpha + 2 beta is 67 and 83 bits: every spec builds its code and its
+    # structure, and only enumeration refuses the width
+    rows = {name: test for name, test, _ in verify._CHECKS}
+    specs = list(enumerate_cyclic_specs(alpha, beta))
+    assert len(specs) == count
+    with pytest.raises(SizeGuardError, match=f"needs {alpha + 2 * beta} bits, above 62"):
+        materialize(specs[0]).words()
+    failures = []
+    for spec in specs:
+        o = verify._SpecObjects(spec)
+        failures += [(str(spec), name) for name in BASIS_ROWS if not rows[name](o)]
+        if gray_linear(spec) != is_gray_linear_bruteforce(o.code):
+            failures.append((str(spec), "linearity, closed form against closure oracle"))
+    assert failures == []
 
 
 def test_sweep_verdicts_digest():

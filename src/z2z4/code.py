@@ -24,9 +24,9 @@ Every GF(2) elimination (the order-2 stage of ``group_basis``, the
 standard form, binary codes and type counting) goes through
 ``_f2_rref_with_trace``; ``_echelon`` only pre-reduces numpy mask
 arrays for it.  It reduces a large array ``_BLOCK_WORDS`` masks at a
-time by the pivots found so far and stops at full rank, because a pass
-over a whole array of a million words streams it through main memory,
-while a block's temporaries stay in cache.
+time, each block by table lookups on the pivots found so far, and stops
+at full rank, because a pass over a whole array of a million words
+streams it through main memory, while a block's temporaries stay in cache.
 
 Set operations on sorted packed arrays (deduplication, membership,
 intersection) go through ``_sorted_unique`` and ``_isin_sorted``, and
@@ -597,29 +597,47 @@ class CodeType:
 
 
 def _echelon(masks: np.ndarray, length: int) -> list[int]:
-    """Row echelon pivots of a mask array, in descending leading-bit order.
+    """Reduced echelon pivots of a mask array, in descending leading-bit order.
 
     The array, whose dtype must hold ``length`` bits, is taken
-    ``_BLOCK_WORDS`` masks at a time, one vectorized pass per bit: a bit
-    that already has a pivot clears it from the block, any other bit
-    takes its pivot from the block.  Blocks stop once every bit has a pivot.
+    ``_BLOCK_WORDS`` masks at a time.  One vectorized pass per bit, from
+    the top, gives each bit left in a block its pivot, cleared from the
+    block and from the other pivots.  Reduced pivots add up per pivot bit,
+    so a later block is first reduced by one table lookup per 8-bit chunk
+    of its masks, as in the Method of Four Russians; only another block
+    builds the tables.  Blocks stop once every bit has a pivot.
     """
     pivots: dict[int, int] = {}
+    tables: list[np.ndarray] = []
     for start in range(0, len(masks), _BLOCK_WORDS):
         if len(pivots) == length:
             break
         work = masks[start:start + _BLOCK_WORDS]
+        if tables:
+            reduced = work.copy()
+            for k, table in enumerate(tables):
+                reduced ^= np.take(table, (work >> 8 * k) & 255)
+            work = reduced
         work = work[work != 0]
+        found = len(pivots)
         for bit in range(length - 1, -1, -1):
             if work.size == 0:
                 break
             hit = (work & (1 << bit)) != 0
             if not bool(hit.any()):
                 continue
-            if bit not in pivots:
-                pivots[bit] = int(work[int(np.argmax(hit))])
-            work = np.where(hit, work ^ pivots[bit], work)
+            p = int(work[int(np.argmax(hit))])
+            for b in pivots:
+                if pivots[b] >> bit & 1:
+                    pivots[b] ^= p
+            pivots[bit] = p
+            work = np.where(hit, work ^ p, work)
             work = work[work != 0]
+        if len(pivots) > found and start + _BLOCK_WORDS < len(masks):
+            tables = [np.zeros(256, dtype=masks.dtype) for _ in range(0, length, 8)]
+            for k, table in enumerate(tables):
+                for j in range(8):
+                    table[1 << j:2 << j] = table[:1 << j] ^ pivots.get(8 * k + j, 0)
     return [pivots[bit] for bit in sorted(pivots, reverse=True)]
 
 
@@ -869,7 +887,7 @@ def kernel_bruteforce(code: AdditiveCode) -> AdditiveCode:
     bilinearity it is enough to range w over the basis rows.  2(v * w)
     depends on v and w only through their residues mod 2, so each
     distinct residue of the words is tested once, against the residue
-    of each basis row.
+    of each basis row.  If every residue passes, K(C) = C: ``code`` is returned.
     """
     arr = code.words()
     alpha, beta = code.alpha, code.beta
@@ -880,7 +898,9 @@ def kernel_bruteforce(code: AdditiveCode) -> AdditiveCode:
     for w in code.basis_words():
         if w.lo:
             passed &= code.membership_mask(_star2_packed(residues, w.packed, alpha, beta))
-    kept = arr if passed.all() else arr[_isin_sorted(residues[passed], lo)]
+    if passed.all():
+        return code
+    kept = arr[_isin_sorted(residues[passed], lo)]
     return AdditiveCode.from_words(alpha, beta, kept, max_words=code.max_words)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from z2z4 import code as code_module
 from z2z4.code import (
     AMBIENT_BIT_LIMIT,
     AdditiveCode,
@@ -482,14 +483,15 @@ def test_echelon_fast_path_matches_scalar_loop():
             )
 
 
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint32])
 @pytest.mark.parametrize("new_mask", [(1 << 15) | 1, 1, (1 << 14) | 1])
-def test_echelon_pivot_found_only_in_the_last_block(new_mask):
+def test_echelon_pivot_found_only_in_the_last_block(new_mask, dtype):
     # every mask of the first block lies in the span of bits 1-14; the
     # last mask, alone in the second block, brings one new pivot: above
     # the pivots found so far, below them, or at bit 0 once the pivot
     # at its leading bit 14 has reduced it
     rng = np.random.default_rng(12)
-    masks = rng.integers(0, 1 << 14, size=_BLOCK_WORDS + 1, dtype=np.uint64) << np.uint64(1)
+    masks = rng.integers(0, 1 << 14, size=_BLOCK_WORDS + 1, dtype=dtype) << 1
     masks[-1] = new_mask
     code = BinaryCode.from_masks(16, masks)
     assert code.dim == BinaryCode.from_masks(16, masks[:-1]).dim + 1 == 15
@@ -502,6 +504,50 @@ def test_echelon_full_rank_in_the_first_block():
     code = BinaryCode.from_masks(20, masks)
     assert code.dim == BinaryCode.from_masks(20, masks[:_BLOCK_WORDS]).dim == 20
     assert code == BinaryCode.from_masks(20, [int(m) for m in masks])
+
+
+@pytest.mark.parametrize("dtype, length, rank, late", [
+    (np.uint64, 62, 40, None),
+    (np.uint64, 57, 56, None),
+    (np.uint64, 58, 57, "top"),
+    (np.uint64, 59, 31, "top"),
+    (np.uint64, 60, 12, "bottom"),
+    (np.uint64, 61, 45, "bottom"),
+    (np.uint64, 20, 13, "bottom"),
+    (np.uint32, 25, 24, None),
+    (np.uint32, 27, 26, "top"),
+    (np.uint32, 30, 3, "top"),
+    (np.uint32, 31, 17, "bottom"),
+    (np.uint32, 32, 20, "top"),
+])
+def test_echelon_table_path_matches_scalar_loop(monkeypatch, dtype, length, rank, late):
+    # random sums of ``rank`` rows with distinct leading bits, the top
+    # bit among them, over three blocks and a few masks; a ``late`` row,
+    # the one with the highest or the lowest leading bit, enters only
+    # from the third block on, after the first block's tables exist.
+    # Blocks of 256 masks keep the scalar loop's reference quick.  Each
+    # pivot is taken by one argmax: the tables clear every known pivot
+    # bit, so no later block runs the bit loop for nothing.
+    block = 256
+    monkeypatch.setattr(code_module, "_BLOCK_WORDS", block)
+    taken = []
+    argmax = np.argmax
+    monkeypatch.setattr(np, "argmax", lambda *args: taken.append(1) or argmax(*args))
+    rng = np.random.default_rng(length * 100 + rank)
+    leads = [int(b) for b in rng.choice(length - 1, size=rank - 1, replace=False)]
+    rows = [(1 << b) | int(rng.integers(0, 1 << b)) for b in sorted(leads) + [length - 1]]
+    n = 3 * block + 5
+    coeffs = rng.integers(0, 2, size=(n, rank), dtype=bool)
+    if late is not None:
+        coeffs[:2 * block, -1 if late == "top" else 0] = False
+    masks = np.zeros(n, dtype=dtype)
+    for row, picked in zip(rows, coeffs.T):
+        masks[picked] ^= row
+    code = BinaryCode.from_masks(length, masks)
+    assert code.dim == len(taken) == rank
+    if late is not None:
+        assert BinaryCode.from_masks(length, masks[:2 * block]).dim == rank - 1
+    assert code == BinaryCode.from_masks(length, (int(m) for m in masks))
 
 
 # hand-checkable code: the mixed-length pair from the worked examples
@@ -540,6 +586,32 @@ def test_kernel_bruteforce_is_the_definition(code):
     ws = [Word.from_packed(int(p), code.alpha, code.beta) for p in code.words()]
     expected = [v for v in ws if all(code.contains(star2(v, w)) for w in ws)]
     kernel = kernel_bruteforce(code)
+    assert [int(p) for p in kernel.words()] == sorted(v.packed for v in expected)
+
+
+def _spy_from_words(monkeypatch) -> list:
+    calls = []
+    real = AdditiveCode.from_words
+    monkeypatch.setattr(AdditiveCode, "from_words",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+def test_kernel_bruteforce_returns_a_gray_linear_code_itself(monkeypatch):
+    code = _small_mixed_code()
+    assert is_gray_linear_bruteforce(code)
+    calls = _spy_from_words(monkeypatch)
+    assert kernel_bruteforce(code) is code
+    assert calls == []
+
+
+def test_kernel_bruteforce_rebuilds_a_proper_kernel(monkeypatch):
+    code = AdditiveCode(0, 3, [Word.parse("|110"), Word.parse("|011")])
+    calls = _spy_from_words(monkeypatch)
+    kernel = kernel_bruteforce(code)
+    assert len(calls) == 1 and kernel.size == 4 < code.size
+    ws = [Word.from_packed(int(p), 0, 3) for p in code.words()]
+    expected = [v for v in ws if all(code.contains(star2(v, w)) for w in ws)]
     assert [int(p) for p in kernel.words()] == sorted(v.packed for v in expected)
 
 

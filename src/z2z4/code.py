@@ -8,17 +8,18 @@ bits (alpha + 2 beta, or a binary code's ``length``), uint64 above.  Every
 bulk operation (enumeration, Gray images, membership, kernels, spans) is
 a few vectorized bitplane ops, so the oracles stay exact while handling
 millions of words.  The packed-word kernels (``_add_packed``,
-``_star2_packed``, ``gray_array``, ``ungray_array``) keep their input's
-dtype: their masks and shift counts are Python ints, cast to its width.
+``_star2_packed``, ``gray_array``) keep their input's dtype: their masks
+and shift counts are Python ints, cast to its width.
 
 Structure never comes from enumeration: ``group_basis`` extracts a
 basis split into order-4 and order-2 rows by exact elimination over the
 mixed alphabet; that basis is canonical, so it is also the identity of a
 code (``AdditiveCode.__eq__``/``__hash__``).  ``howell_rows`` is an
 independent canonical form, kept as a reference for that identity.
-Enumeration is only used by the brute-force oracles, guarded by
-``max_words`` and, past ``AMBIENT_BIT_LIMIT`` bits, by ``_word_dtype``;
-the structure layer reads no array, so it works at any length.
+Enumeration is only used where an oracle reads a code's own words,
+guarded by ``max_words`` and, past ``AMBIENT_BIT_LIMIT`` bits, by
+``_word_dtype``; ``gray_preimage`` lifts a span from its basis under the
+same guards.  The structure layer reads no array, so it works at any length.
 
 Every GF(2) elimination (the order-2 stage of ``group_basis``, the
 standard form, binary codes and type counting) goes through
@@ -255,14 +256,6 @@ def ungray(bits: int, alpha: int, beta: int) -> Word:
 # wide enough for alpha + 2 beta bits
 
 
-def _split(arr: np.ndarray, alpha: int, beta: int):
-    mask_b = (1 << beta) - 1
-    u = arr & ((1 << alpha) - 1)
-    lo = (arr >> alpha) & mask_b
-    hi = (arr >> (alpha + beta)) & mask_b
-    return u, lo, hi
-
-
 def _star2_packed(a, b, alpha: int, beta: int):
     """``star2(v, w)`` for packed words v of ``a`` and w of ``b``, broadcast:
     the product of the residues, moved from the ``lo`` plane up to ``hi``."""
@@ -284,12 +277,15 @@ def _cosets(arr: np.ndarray, w: Word) -> np.ndarray:
                                    for c in range(1, w.order())])
 
 
+def _check_budget(size: int, max_words: int) -> None:
+    if size > max_words:
+        raise SizeGuardError(f"code has {size} words, above the {max_words} budget", predicted=size)
+
+
 def _enumerate(bits: int, basis, size: int, max_words: int) -> np.ndarray:
     """The ``size`` words ``basis`` generates, sorted; width guard first, then budget."""
     arr = np.zeros(1, dtype=_word_dtype(bits))
-    if size > max_words:
-        raise SizeGuardError(f"code has {size} words, above the {max_words} budget",
-                             predicted=size)
+    _check_budget(size, max_words)
     for w in basis:
         arr = _cosets(arr, w)
     arr.sort()
@@ -312,13 +308,6 @@ def gray_array(arr: np.ndarray, alpha: int, beta: int) -> np.ndarray:
     out |= lo
     out ^= arr
     return out
-
-
-def ungray_array(bits: np.ndarray, alpha: int, beta: int) -> np.ndarray:
-    # a Gray image holds hi where a packed word holds lo, and lo ^ hi
-    # where it holds hi
-    u, hi, lo_hi = _split(bits, alpha, beta)
-    return u | ((lo_hi ^ hi) << alpha) | (hi << (alpha + beta))
 
 
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
@@ -850,12 +839,13 @@ def type_by_counting(code: AdditiveCode) -> CodeType:
 
     2^(gamma+2delta) words in total, 2^(gamma+delta) of order at most
     two; kappa is the rank of the binary parts of those, kappa1 the log
-    of how many have zero quaternary part.
+    of how many have zero quaternary part.  The counts mask and shift the
+    packed words; only the binary parts become an array of their own.
     """
     arr = code.words()
-    u, lo, hi = _split(arr, code.alpha, code.beta)
     total = len(arr)
-    ord2 = lo == 0
+    n_xonly = int(np.count_nonzero((arr >> code.alpha) == 0))
+    ord2 = (arr & (((1 << code.beta) - 1) << code.alpha)) == 0
     n_ord2 = int(np.count_nonzero(ord2))
     gamma_delta = n_ord2.bit_length() - 1
     gamma_2delta = total.bit_length() - 1
@@ -863,8 +853,8 @@ def type_by_counting(code: AdditiveCode) -> CodeType:
         raise AssertionError("word counts are not powers of two")
     delta = gamma_2delta - gamma_delta
     gamma = gamma_delta - delta
+    u = arr & ((1 << code.alpha) - 1)
     kappa = BinaryCode.from_masks(code.alpha, u[ord2]).dim
-    n_xonly = int(np.count_nonzero(ord2 & (hi == 0)))
     kappa1 = n_xonly.bit_length() - 1
     if 1 << kappa1 != n_xonly:
         raise AssertionError("binary-only word count is not a power of two")
@@ -914,7 +904,7 @@ def span_bruteforce(code: AdditiveCode) -> SpanResult:
     """Linear span of the Gray image, and its dimension, the rank.
 
     The rank needs no enumeration of the span itself, only of the code;
-    ``gray_preimage`` lifts the span back when that is wanted.
+    ``gray_preimage`` lifts the span back from its basis when wanted.
     """
     masks = gray_array(code.words(), code.alpha, code.beta)
     span = BinaryCode.from_masks(code.alpha + 2 * code.beta, masks)
@@ -926,11 +916,22 @@ def gray_preimage(
 ) -> AdditiveCode:
     """The words of Z2^alpha x Z4^beta whose Gray images lie in ``span``.
 
-    Enumerates ``span``, so it is guarded by ``max_words``; raises
-    ``ValueError`` if the preimage is not additively closed.
+    Read off the basis masks b_i, with no enumeration.  With x_i =
+    ungray(b_i), Phi(v) + Phi(w) = Phi(v + w + 2(v * w)) and bilinearity
+    of 2(v * w) put the preimage P of ``span`` inside G = <x_i,
+    2(x_i * x_j)>.  A closed P holds each 2(x_i * x_j), the preimage of
+    b_i + b_j less x_i and x_j, so P is closed iff |G| = |span|, and then
+    P = G; otherwise this raises ``ValueError``.  The guards are an
+    enumerated lift's: the width, then ``max_words`` against |span|.
     """
-    packed = ungray_array(span.words(max_words=max_words), alpha, beta)
-    return AdditiveCode.from_words(alpha, beta, packed, max_words=max_words)
+    _word_dtype(alpha + 2 * beta)
+    _check_budget(span.size, max_words)
+    xs = [ungray(m, alpha, beta) for m in span.basis]
+    gens = xs + [star2(v, w) for i, v in enumerate(xs) for w in xs[i + 1:] if v.lo & w.lo]
+    lifted = AdditiveCode(alpha, beta, gens, max_words=max_words)
+    if lifted.size != span.size:
+        raise ValueError("word set is not additively closed")
+    return lifted
 
 
 def is_gray_linear_bruteforce(code: AdditiveCode) -> bool:

@@ -12,9 +12,10 @@ The checks are the rows of ``_CHECKS``, in report order; each reads the
 objects of one ``_SpecObjects``, which the paper-suite fixtures share.
 ``cross_check`` enumerates the code before the first check, so a code
 over the word budget raises ``SizeGuardError`` (a guarded sweep row);
-a check that raises it later is skipped, and a witness that raises it
-says so.  Any other exception out of ``cross_check`` makes the spec an
-error sweep row, and the sweep goes on.
+a check that raises it later is skipped (today those reading the lifted
+span, which ``gray_preimage`` builds from a basis but guards by its
+size), and a witness that raises it says so.  Any other exception out of
+``cross_check`` makes the spec an error sweep row, and the sweep goes on.
 
 ``sweep_rows_json`` and ``suite_json`` build the JSON records that the
 text and CSV views (``sweep_text``, ``csv_row``, ``suite_text``) render.
@@ -300,9 +301,9 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
     """Run every closed-form-versus-enumeration comparison on one spec.
 
     Raises ``SizeGuardError`` when the code itself is too large to
-    enumerate.  A check that raises it afterwards needs a larger
-    companion object (the lifted span) and is skipped and reported as
-    such instead, and a witness that needs one says so.
+    enumerate.  A check that raises it afterwards reads an object over
+    the budget (the lifted span, guarded by its size) and is skipped and
+    reported as such instead, and a witness that needs one says so.
     """
     o = _SpecObjects(spec, max_words)
     o.code.words()  # the code's own guard; no other object is larger but the span

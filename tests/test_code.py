@@ -5,6 +5,8 @@ are checked against them, so these tests pin the oracles' own behavior
 on hand-computable codes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,8 +35,8 @@ from z2z4.code import (
     star2,
     type_by_counting,
     ungray,
-    ungray_array,
 )
+from z2z4.cyclic import cardinality, enumerate_cyclic_specs, materialize
 from z2z4.errors import SizeGuardError
 
 
@@ -66,6 +68,12 @@ def small_codes(draw):
     a = draw(st.integers(0 if b else 1, 12 - 2 * b))
     gens = draw(st.lists(words(a, b), min_size=1, max_size=4))
     return AdditiveCode(a, b, gens)
+
+
+def _ungray_array(bits, alpha, beta):
+    """Packed preimages of Gray masks, which hold hi where a packed word holds lo, and lo ^ hi where it holds hi."""
+    hi, lo_hi = ((bits >> shift) & ((1 << beta) - 1) for shift in (alpha, alpha + beta))
+    return (bits & ((1 << alpha) - 1)) | ((lo_hi ^ hi) << alpha) | (hi << (alpha + beta))
 
 
 # small values force duplicates; the top range has bit 63 set
@@ -189,7 +197,8 @@ def test_packed_arrays_match_words(case):
         assert int(sums[i]) == (v + w).packed
         assert int(stars[i]) == star2(v, w).packed
         assert int(masks[i]) == v.gray
-    assert np.array_equal(ungray_array(masks, alpha, beta), arr)
+        assert ungray(v.gray, alpha, beta) == v
+    assert np.array_equal(_ungray_array(masks, alpha, beta), arr)
     # a (k, 1) column against a (B,) row, as the Gray identity check adds
     # its probes, and the same pairs the other way round
     column = [w] + vs[:3]
@@ -228,8 +237,7 @@ def test_packed_kernels_keep_a_uint32_input_in_uint32(case):
         lambda a, t: _star2_packed(a[:k, None], a, alpha, beta),
         lambda a, t: gray_array(a, alpha, beta),
         lambda a, t: gray_array(_add_packed(a[:k, None], a, alpha, beta), alpha, beta),
-        lambda a, t: ungray_array(a, alpha, beta),
-        lambda a, t: ungray_array(gray_array(a[:k, None] ^ a, alpha, beta), alpha, beta),
+        lambda a, t: _ungray_array(gray_array(a[:k, None] ^ a, alpha, beta), alpha, beta),
     )
     for kernel in kernels:
         got, want = kernel(narrow, np.uint32), kernel(wide, np.uint64)
@@ -646,8 +654,71 @@ def test_span_rank_without_lift():
     res = span_bruteforce(code)
     assert res.rank == res.binary_span.dim
     assert gray_preimage(res.binary_span, 1, 3).size == 1 << res.rank
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError) as e:
         gray_preimage(res.binary_span, 1, 3, max_words=(1 << res.rank) - 1)
+    assert e.value.predicted == 1 << res.rank
+
+
+def _enumerated_preimage(span: BinaryCode, alpha: int, beta: int) -> AdditiveCode:
+    """The lift by enumeration: every span word, un-Grayed, regrown as a code."""
+    return AdditiveCode.from_words(alpha, beta, _ungray_array(span.words(), alpha, beta))
+
+
+def test_gray_preimage_is_the_enumerated_preimage_on_every_small_spec():
+    specs = [spec for alpha in range(1, 5) for beta in (1, 3, 5, 7, 9)
+             for spec in enumerate_cyclic_specs(alpha, beta) if cardinality(spec) <= 1 << 14]
+    assert len(specs) == 1470
+    for spec in specs:
+        span = span_bruteforce(materialize(spec)).binary_span
+        lifted = gray_preimage(span, spec.alpha, spec.beta)
+        want = _enumerated_preimage(span, spec.alpha, spec.beta)
+        assert lifted == want, spec
+        assert np.array_equal(lifted.words(), want.words()), spec
+
+
+@st.composite
+def binary_spans(draw):
+    """(span, alpha, beta): the span of random masks over alpha + 2 beta bits, alpha <= 2, beta <= 3."""
+    beta = draw(st.integers(0, 3))
+    alpha = draw(st.integers(0 if beta else 1, 2))
+    n = alpha + 2 * beta
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
+    return BinaryCode.from_masks(n, masks), alpha, beta
+
+
+def _lift_or_error(lift, span, alpha, beta):
+    try:
+        return lift(span, alpha, beta)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_spans())
+@example((BinaryCode.from_masks(2, [0b10]), 0, 1))  # the preimage {0, 1} of Z4 misses 1 + 1
+def test_gray_preimage_lifts_a_random_span_as_enumeration_does(case):
+    # either both routes find the preimage not additively closed, or both
+    # return the same code
+    span, alpha, beta = case
+    got = _lift_or_error(gray_preimage, span, alpha, beta)
+    want = _lift_or_error(_enumerated_preimage, span, alpha, beta)
+    if isinstance(want, str):
+        assert got == want == "word set is not additively closed"
+    else:
+        assert got == want
+        assert np.array_equal(got.words(), want.words())
+
+
+def test_gray_preimage_enumerates_nothing(monkeypatch):
+    code = _small_mixed_code()
+    span = span_bruteforce(code).binary_span
+    calls = []
+    real = code_module._enumerate
+    monkeypatch.setattr(code_module, "_enumerate",
+                        lambda *args: calls.append(args) or real(*args))
+    lifted = gray_preimage(span, 1, 3)
+    assert calls == []
+    assert lifted.size == span.size and code.is_subcode_of(lifted)
 
 
 def test_type_by_counting_matches_structure():
@@ -671,6 +742,22 @@ def test_type_by_counting_matches_structure_over_several_blocks():
     assert (code.size, 1 << (t.gamma + t.delta)) == (1 << 17, 2 * _BLOCK_WORDS)
     assert (t.kappa, t.kappa1, t.delta1) == (9, 9, 1)
     assert type_by_counting(code) == t
+
+
+def test_type_by_counting_peaks_below_three_word_arrays():
+    # the counts read the packed words; only the binary parts become an
+    # array of their own
+    spec = next(s for s in enumerate_cyclic_specs(3, 9) if cardinality(s) == 1 << 16)
+    code = materialize(spec)
+    arr = code.words()
+    tracemalloc.start()
+    try:
+        t = type_by_counting(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t == code.code_type()
+    assert peak <= 3 * arr.nbytes, peak / arr.nbytes
 
 
 def test_code_type_validates():

@@ -14,7 +14,7 @@ from z2z4.code import (
     Word,
     is_gray_linear_bruteforce,
     kernel_bruteforce,
-    ungray_array,
+    ungray,
 )
 from z2z4.cyclic import (
     cardinality,
@@ -211,9 +211,8 @@ def test_gray_identity_check_catches_a_wrong_carry_and_a_wrong_gray_bit(
         # v + w + 2(v * w) is the largest word only for words w of the
         # last block, so only that block reaches the flipped bit
         probes = code.basis_words()
-        partners = np.array([Word.from_packed(top, alpha, beta).gray ^ v.gray for v in probes],
-                            dtype=np.uint64)
-        assert bool(np.all(ungray_array(partners, alpha, beta) >= arr[-_BLOCK_WORDS]))
+        partners = [Word.from_packed(top, alpha, beta).gray ^ v.gray for v in probes]
+        assert all(ungray(m, alpha, beta).packed >= arr[-_BLOCK_WORDS] for m in partners)
     for name, fault in (("_add_packed", _carry_dropped), ("gray_array", _gray_bit_flipped_at(top))):
         with monkeypatch.context() as m:
             m.setattr(verify, name, fault)

@@ -927,8 +927,8 @@ def gray_preimage(
     _word_dtype(alpha + 2 * beta)
     _check_budget(span.size, max_words)
     xs = [ungray(m, alpha, beta) for m in span.basis]
-    gens = xs + [star2(v, w) for i, v in enumerate(xs) for w in xs[i + 1:] if v.lo & w.lo]
-    lifted = AdditiveCode(alpha, beta, gens, max_words=max_words)
+    products = {star2(v, w) for i, v in enumerate(xs) for w in xs[i + 1:] if v.lo & w.lo}
+    lifted = AdditiveCode(alpha, beta, xs + list(products), max_words=max_words)
     if lifted.size != span.size:
         raise ValueError("word set is not additively closed")
     return lifted

@@ -71,7 +71,8 @@ def small_codes(draw):
 
 
 def _ungray_array(bits, alpha, beta):
-    """Packed preimages of Gray masks, which hold hi where a packed word holds lo, and lo ^ hi where it holds hi."""
+    """Packed preimages of Gray masks: a mask holds hi where a packed word
+    holds lo, and lo ^ hi where it holds hi."""
     hi, lo_hi = ((bits >> shift) & ((1 << beta) - 1) for shift in (alpha, alpha + beta))
     return (bits & ((1 << alpha) - 1)) | ((lo_hi ^ hi) << alpha) | (hi << (alpha + beta))
 
@@ -678,7 +679,8 @@ def test_gray_preimage_is_the_enumerated_preimage_on_every_small_spec():
 
 @st.composite
 def binary_spans(draw):
-    """(span, alpha, beta): the span of random masks over alpha + 2 beta bits, alpha <= 2, beta <= 3."""
+    """(span, alpha, beta): the span of random masks over alpha + 2 beta
+    bits, with alpha <= 2 and beta <= 3."""
     beta = draw(st.integers(0, 3))
     alpha = draw(st.integers(0 if beta else 1, 2))
     n = alpha + 2 * beta
@@ -707,6 +709,19 @@ def test_gray_preimage_lifts_a_random_span_as_enumeration_does(case):
     else:
         assert got == want
         assert np.array_equal(got.words(), want.words())
+
+
+def test_gray_preimage_holds_for_any_basis_of_the_span():
+    # five words of H = <(110), (011)> with independent Gray images: they
+    # generate only H, 16 words, but span the Gray image of
+    # R(H) = <H, 2((110) * (011))>, 32 words; the doubled products fill the gap
+    ws = [Word.parse(t) for t in ("|110", "|011", "|301", "|121", "|103")]
+    h = AdditiveCode(0, 3, ws)
+    span = BinaryCode(6, tuple(w.gray for w in ws))
+    assert h.size == 16 and BinaryCode.from_masks(6, span.basis).dim == 5
+    lifted = gray_preimage(span, 0, 3)
+    assert lifted == gray_preimage(span_bruteforce(h).binary_span, 0, 3)
+    assert lifted == AdditiveCode(0, 3, ws + [Word.parse("|020")]) and lifted.size == 32
 
 
 def test_gray_preimage_enumerates_nothing(monkeypatch):

@@ -196,7 +196,6 @@ def _analysis(spec: CyclicSpec, rep: CheckReport | None) -> dict:
         a["verify"] = {
             "passed": rep.passed,
             "checks": [{"name": n, "passed": ok} for n, ok in rep.checks],
-            "skipped": list(rep.skipped),
             "witness": rep.witness,
         }
     return a
@@ -221,7 +220,6 @@ def _analysis_text(a: dict) -> str:
     if "verify" in a:
         v = a["verify"]
         lines += [f"  {_mark(_verdict(c['passed']))}  {c['name']}" for c in v["checks"]]
-        lines += [f"  skip  {name}" for name in v["skipped"]]
         if v["witness"]:
             lines.append(f"  witness: {v['witness']}")
         lines.append("verify: all checks passed" if v["passed"] else "verify: FAILED")

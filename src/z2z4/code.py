@@ -4,7 +4,8 @@ A word is stored as three bitplanes: ``u`` for the binary block and
 ``lo``/``hi`` for the quaternary block, where the coordinate value is
 ``lo_i + 2*hi_i``.  A whole code is a sorted numpy array of packed
 words, in the one dtype ``_word_dtype`` gives its width: uint32 up to 32
-bits (alpha + 2 beta, or a binary code's ``length``), uint64 above.  Every
+bits (alpha + 2 beta, or a binary code's ``length``), uint64 up to 64,
+and Python ints (``object``) above, so no width is refused.  Every
 bulk operation (enumeration, Gray images, membership, kernels, spans) is
 a few vectorized bitplane ops, so the oracles stay exact while handling
 millions of words.  The packed-word kernels (``_add_packed``,
@@ -16,10 +17,9 @@ basis split into order-4 and order-2 rows by exact elimination over the
 mixed alphabet; that basis is canonical, so it is also the identity of a
 code (``AdditiveCode.__eq__``/``__hash__``).  ``howell_rows`` is an
 independent canonical form, kept as a reference for that identity.
-Enumeration is only used where an oracle reads a code's own words,
-guarded by ``max_words`` and, past ``AMBIENT_BIT_LIMIT`` bits, by
-``_word_dtype``; ``gray_preimage`` lifts a span from its basis under the
-same guards.  The structure layer reads no array, so it works at any length.
+Enumeration is only used where an oracle reads a code's own words, and
+``max_words`` is its one guard; ``gray_preimage`` lifts a span from its
+basis and lists no word.  The structure layer reads no array.
 
 Every GF(2) elimination (the order-2 stage of ``group_basis``, the
 standard form, binary codes and type counting) goes through
@@ -53,16 +53,16 @@ DEFAULT_MAX_WORDS = 1 << 24
 # words per block of the blocked array passes: a block's temporary, 64 KiB
 # in uint32 and 128 KiB in uint64, is small enough to stay in L2 cache
 _BLOCK_WORDS = 1 << 14
-AMBIENT_BIT_LIMIT = 62
 
 
 def _word_dtype(bits: int) -> type:
-    """The dtype of packed arrays of ``bits``-bit words or masks, and so
-    the one width guard of every enumeration."""
-    if bits > AMBIENT_BIT_LIMIT:
-        raise SizeGuardError(f"ambient space needs {bits} bits, above {AMBIENT_BIT_LIMIT}",
-                             predicted=1 << bits)
-    return np.uint32 if bits <= 32 else np.uint64
+    """The dtype of packed arrays of ``bits``-bit words or masks: uint32 up
+    to 32 bits, uint64 up to 64, and ``object`` (Python ints, which numpy's
+    bitwise operators, comparisons and sort take as they are) above.  It
+    refuses no width; the word budget is the one guard of an enumeration."""
+    if bits <= 32:
+        return np.uint32
+    return np.uint64 if bits <= 64 else object
 
 
 class Word:
@@ -277,15 +277,11 @@ def _cosets(arr: np.ndarray, w: Word) -> np.ndarray:
                                    for c in range(1, w.order())])
 
 
-def _check_budget(size: int, max_words: int) -> None:
+def _enumerate(bits: int, basis, size: int, max_words: int) -> np.ndarray:
+    """The ``size`` words ``basis`` generates, sorted, unless ``max_words`` is fewer."""
     if size > max_words:
         raise SizeGuardError(f"code has {size} words, above the {max_words} budget", predicted=size)
-
-
-def _enumerate(bits: int, basis, size: int, max_words: int) -> np.ndarray:
-    """The ``size`` words ``basis`` generates, sorted; width guard first, then budget."""
     arr = np.zeros(1, dtype=_word_dtype(bits))
-    _check_budget(size, max_words)
     for w in basis:
         arr = _cosets(arr, w)
     arr.sort()
@@ -594,10 +590,12 @@ def _echelon(masks: np.ndarray, length: int) -> list[int]:
     block and from the other pivots.  Reduced pivots add up per pivot bit,
     so a later block is first reduced by one table lookup per 8-bit chunk
     of its masks, as in the Method of Four Russians; only another block
-    builds the tables.  Blocks stop once every bit has a pivot.
+    builds the tables.  Blocks stop once every bit has a pivot.  A gather
+    index must be an integer array, so an ``object`` array's is cast.
     """
     pivots: dict[int, int] = {}
     tables: list[np.ndarray] = []
+    wide = masks.dtype == object
     for start in range(0, len(masks), _BLOCK_WORDS):
         if len(pivots) == length:
             break
@@ -605,7 +603,8 @@ def _echelon(masks: np.ndarray, length: int) -> list[int]:
         if tables:
             reduced = work.copy()
             for k, table in enumerate(tables):
-                reduced ^= np.take(table, (work >> 8 * k) & 255)
+                chunk = (work >> 8 * k) & 255
+                reduced ^= np.take(table, chunk.astype(np.intp) if wide else chunk)
             work = reduced
         work = work[work != 0]
         found = len(pivots)
@@ -739,7 +738,7 @@ class AdditiveCode:
         return self.basis.words4 + self.basis.words2
 
     def words(self) -> np.ndarray:
-        """Sorted packed array of all words; guarded by ``max_words`` and the width."""
+        """Sorted packed array of all words; guarded by ``max_words``."""
         if self._words is None:
             arr = _enumerate(self.alpha + 2 * self.beta, self.basis_words(), self.size,
                              self.max_words)
@@ -921,11 +920,13 @@ def gray_preimage(
     of 2(v * w) put the preimage P of ``span`` inside G = <x_i,
     2(x_i * x_j)>.  A closed P holds each 2(x_i * x_j), the preimage of
     b_i + b_j less x_i and x_j, so P is closed iff |G| = |span|, and then
-    P = G; otherwise this raises ``ValueError``.  The guards are an
-    enumerated lift's: the width, then ``max_words`` against |span|.
+    P = G; otherwise this raises ``ValueError``, as it does for a span
+    whose length is not alpha + 2 beta.  The lift lists no word, so
+    ``max_words`` only becomes the lifted code's budget.
     """
-    _word_dtype(alpha + 2 * beta)
-    _check_budget(span.size, max_words)
+    if span.length != alpha + 2 * beta:
+        raise ValueError(f"a span of length {span.length} does not lie in the "
+                         f"{alpha + 2 * beta}-bit ambient")
     xs = [ungray(m, alpha, beta) for m in span.basis]
     products = {star2(v, w) for i, v in enumerate(xs) for w in xs[i + 1:] if v.lo & w.lo}
     lifted = AdditiveCode(alpha, beta, xs + list(products), max_words=max_words)

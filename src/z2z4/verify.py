@@ -11,11 +11,11 @@ reported as flagged rather than asserted.
 The checks are the rows of ``_CHECKS``, in report order; each reads the
 objects of one ``_SpecObjects``, which the paper-suite fixtures share.
 ``cross_check`` enumerates the code before the first check, so a code
-over the word budget raises ``SizeGuardError`` (a guarded sweep row);
-a check that raises it later is skipped (today those reading the lifted
-span, which ``gray_preimage`` builds from a basis but guards by its
-size), and a witness that raises it says so.  Any other exception out of
-``cross_check`` makes the spec an error sweep row, and the sweep goes on.
+over the word budget, the one enumeration guard, raises
+``SizeGuardError`` (a guarded sweep row); no check enumerates an object
+larger than the code, so every check of a code that fits runs.  A
+witness that would go over the budget says so.  Any other exception out
+of ``cross_check`` makes the spec an error sweep row, and the sweep goes on.
 
 ``sweep_rows_json`` and ``suite_json`` build the JSON records that the
 text and CSV views (``sweep_text``, ``csv_row``, ``suite_text``) render.
@@ -83,7 +83,6 @@ class CheckReport:
     spec: CyclicSpec
     checks: tuple[tuple[str, bool], ...]
     witness: str | None
-    skipped: tuple[str, ...]
     kernel_result: KernelResult
     rank_result: RankResult
 
@@ -300,30 +299,25 @@ _CHECKS = (
 def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckReport:
     """Run every closed-form-versus-enumeration comparison on one spec.
 
-    Raises ``SizeGuardError`` when the code itself is too large to
-    enumerate.  A check that raises it afterwards reads an object over
-    the budget (the lifted span, guarded by its size) and is skipped and
-    reported as such instead, and a witness that needs one says so.
+    Raises ``SizeGuardError`` when the code itself is over the word
+    budget, the one enumeration guard.  No check enumerates a larger
+    object, so every check runs; only a witness may need one (the words
+    of two codes that differ), and then it says so.
     """
     o = _SpecObjects(spec, max_words)
-    o.code.words()  # the code's own guard; no other object is larger but the span
+    o.code.words()  # the code's own guard; no check enumerates a larger object
     table = _CHECKS if o.code.is_separable() else _CHECKS[:-3]
     checks: list[tuple[str, bool]] = []
-    skipped: list[str] = []
     witness: str | None = None
     for name, test, note in table:
-        try:
-            ok = test(o)
-        except SizeGuardError:
-            skipped.append(name)
-            continue
+        ok = test(o)
         checks.append((name, ok))
         if not ok and witness is None:
             try:
                 witness = f"{name}: {note(o)}" if note else name
             except SizeGuardError:  # the note enumerates what the test compared whole
                 witness = f"{name}: witness over the word budget"
-    return CheckReport(spec, tuple(checks), witness, tuple(skipped), o.kres, o.rres)
+    return CheckReport(spec, tuple(checks), witness, o.kres, o.rres)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +416,7 @@ def tabulate(alpha: int, beta: int, type_filter=None) -> SweepSummary:
     sweep's, with verdict ``unchecked``.
     """
     rows = [
-        SweepRow(spec, CheckReport(spec, (), None, (), kernel_spec(spec), rank_spec(spec)))
+        SweepRow(spec, CheckReport(spec, (), None, kernel_spec(spec), rank_spec(spec)))
         for spec in enumerate_cyclic_specs(alpha, beta, type_filter=type_filter)
     ]
     return SweepSummary(tuple(rows), checked=False)

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from z2z4 import code as code_module
 from z2z4.code import (
-    AMBIENT_BIT_LIMIT,
     AdditiveCode,
     BinaryCode,
     CodeType,
@@ -175,9 +174,9 @@ def test_word_arithmetic_matches_coordinates(pair, c):
 
 @st.composite
 def packed_arrays(draw):
-    """(alpha, beta, packed words, w): up to 20 words, alpha + 2 beta <= 62."""
-    beta = draw(st.integers(0, AMBIENT_BIT_LIMIT // 2))
-    alpha = draw(st.integers(0 if beta else 1, AMBIENT_BIT_LIMIT - 2 * beta))
+    """(alpha, beta, packed words, w): up to 20 words, alpha + 2 beta <= 71."""
+    beta = draw(st.integers(0, 35))
+    alpha = draw(st.integers(0 if beta else 1, 71 - 2 * beta))
     packed = draw(st.lists(st.integers(0, (1 << (alpha + 2 * beta)) - 1), max_size=20))
     return alpha, beta, packed, draw(words(alpha, beta))
 
@@ -186,10 +185,16 @@ def packed_arrays(draw):
 @example((3, 4, list(range(1 << 11)), Word.parse("101|3120")))
 @example((2, 30, [0, (1 << 62) - 1, 1 << 61, (1 << 32) - 1, 0x2AAAAAAAAAAAAAAA],
           Word(2, 30, 3, (1 << 30) - 1, 1 << 29)))
+@example((0, 32, [0, (1 << 64) - 1, 1 << 63, 0xAAAAAAAAAAAAAAAA],
+          Word(0, 32, 0, (1 << 32) - 1, 1 << 31)))
+@example((1, 35, [0, (1 << 71) - 1, 1 << 70, (1 << 64) - 1, 0x2AAAAAAAAAAAAAAAAA],
+          Word(1, 35, 1, (1 << 35) - 1, 1 << 34)))
 def test_packed_arrays_match_words(case):
+    # uint64 up to 64 bits, Python ints in an object array above
     alpha, beta, packed, w = case
-    arr = np.array(packed, dtype=np.uint64)
-    wp = np.uint64(w.packed)
+    dtype = np.uint64 if alpha + 2 * beta <= 64 else object
+    arr = np.array(packed, dtype=dtype)
+    wp = np.array([w.packed], dtype=dtype)[0]
     sums, stars = _add_packed(arr, wp, alpha, beta), _star2_packed(arr, wp, alpha, beta)
     masks = gray_array(arr, alpha, beta)
     vs = [Word.from_packed(p, alpha, beta) for p in packed]
@@ -203,7 +208,7 @@ def test_packed_arrays_match_words(case):
     # a (k, 1) column against a (B,) row, as the Gray identity check adds
     # its probes, and the same pairs the other way round
     column = [w] + vs[:3]
-    col = np.array([c.packed for c in column], dtype=np.uint64)[:, None]
+    col = np.array([c.packed for c in column], dtype=dtype)[:, None]
     grids = (_add_packed(col, arr, alpha, beta), _add_packed(arr, col, alpha, beta))
     for grid in grids:
         assert grid.shape == (len(column), len(packed))
@@ -247,17 +252,19 @@ def test_packed_kernels_keep_a_uint32_input_in_uint32(case):
 
 
 def test_ambient_guard():
-    # the structure layer takes any width; only what enumerates, and so
-    # needs a packed dtype, meets the 62-bit ceiling
-    code = AdditiveCode(40, 20, [])
-    assert code.size == 1
-    for enumerate_ in (code.words,
-                       lambda: AdditiveCode.from_words(40, 20, [0]),
-                       lambda: BinaryCode(80, ()).words(),
-                       lambda: gray_preimage(BinaryCode(80, ()), 40, 20)):
-        with pytest.raises(SizeGuardError, match="^ambient space needs 80 bits, above 62$") as e:
-            enumerate_()
-        assert e.value.predicted == 1 << 80
+    # no width is refused: 80-bit words enumerate as Python ints in an
+    # object array, and the word budget is the only guard
+    w = Word(40, 20, 1 << 39, 1 << 19, 0)
+    code = AdditiveCode(40, 20, [w])
+    arr = code.words()
+    assert arr.dtype == object and arr.tolist() == sorted((w * c).packed for c in range(4))
+    assert AdditiveCode.from_words(40, 20, arr) == code
+    assert BinaryCode(80, (1 << 79,)).words().tolist() == [0, 1 << 79]
+    span = span_bruteforce(code).binary_span
+    assert span.dim == 2 and gray_preimage(span, 40, 20) == code
+    with pytest.raises(SizeGuardError) as e:
+        AdditiveCode(40, 20, [w], max_words=3).words()
+    assert e.value.predicted == 4
 
 
 def test_group_basis_and_size():
@@ -515,6 +522,13 @@ def test_echelon_full_rank_in_the_first_block():
     assert code == BinaryCode.from_masks(20, [int(m) for m in masks])
 
 
+def _below(rng, b: int) -> int:
+    """A random int below 2^b, drawn 62 bits at a time past 62 bits."""
+    if b <= 62:
+        return int(rng.integers(0, 1 << b))
+    return _below(rng, 62) | _below(rng, b - 62) << 62
+
+
 @pytest.mark.parametrize("dtype, length, rank, late", [
     (np.uint64, 62, 40, None),
     (np.uint64, 57, 56, None),
@@ -528,6 +542,8 @@ def test_echelon_full_rank_in_the_first_block():
     (np.uint32, 30, 3, "top"),
     (np.uint32, 31, 17, "bottom"),
     (np.uint32, 32, 20, "top"),
+    (np.uint64, 64, 50, "top"),
+    (object, 71, 60, "bottom"),
 ])
 def test_echelon_table_path_matches_scalar_loop(monkeypatch, dtype, length, rank, late):
     # random sums of ``rank`` rows with distinct leading bits, the top
@@ -544,7 +560,7 @@ def test_echelon_table_path_matches_scalar_loop(monkeypatch, dtype, length, rank
     monkeypatch.setattr(np, "argmax", lambda *args: taken.append(1) or argmax(*args))
     rng = np.random.default_rng(length * 100 + rank)
     leads = [int(b) for b in rng.choice(length - 1, size=rank - 1, replace=False)]
-    rows = [(1 << b) | int(rng.integers(0, 1 << b)) for b in sorted(leads) + [length - 1]]
+    rows = [(1 << b) | _below(rng, b) for b in sorted(leads) + [length - 1]]
     n = 3 * block + 5
     coeffs = rng.integers(0, 2, size=(n, rank), dtype=bool)
     if late is not None:
@@ -654,10 +670,22 @@ def test_span_rank_without_lift():
     code = _small_mixed_code()
     res = span_bruteforce(code)
     assert res.rank == res.binary_span.dim
-    assert gray_preimage(res.binary_span, 1, 3).size == 1 << res.rank
+    lifted = gray_preimage(res.binary_span, 1, 3)
+    assert lifted.size == 1 << res.rank
+    # the lift lists no word, so a budget below the span binds only the
+    # lifted code's own enumeration
+    tight = gray_preimage(res.binary_span, 1, 3, max_words=(1 << res.rank) - 1)
+    assert tight == lifted
     with pytest.raises(SizeGuardError) as e:
-        gray_preimage(res.binary_span, 1, 3, max_words=(1 << res.rank) - 1)
+        tight.words()
     assert e.value.predicted == 1 << res.rank
+
+
+def test_gray_preimage_refuses_a_span_of_another_length():
+    # a 9-bit span is not in the 7-bit ambient (1, 3); read as one, it
+    # lifted to {0, (1|000)}
+    with pytest.raises(ValueError, match="length 9 does not lie in the 7-bit ambient"):
+        gray_preimage(BinaryCode.from_masks(9, [1 | 1 << 8]), 1, 3)
 
 
 def _enumerated_preimage(span: BinaryCode, alpha: int, beta: int) -> AdditiveCode:

@@ -292,9 +292,8 @@ def _enumerate(bits: int, basis, size: int, max_words: int) -> np.ndarray:
 
 def gray_array(arr: np.ndarray, alpha: int, beta: int) -> np.ndarray:
     # the image is the packed word with lo ^ hi added into the lo plane
-    # and lo into the hi plane, built in place in two temporaries: each
-    # of the Gray check's passes allocates 2^14-word ones, and holding
-    # many at once churns the heap with page faults
+    # and lo into the hi plane, built in place in two temporaries: on a
+    # large array, holding more at once churns the heap with page faults
     lo_mask = ((1 << beta) - 1) << alpha
     lo = arr & lo_mask
     out = arr >> beta

@@ -16,6 +16,8 @@ over the word budget, the one enumeration guard, raises
 larger than the code, so every check of a code that fits runs.  A
 witness that would go over the budget says so.  Any other exception out
 of ``cross_check`` makes the spec an error sweep row, and the sweep goes on.
+One row, ``gray-identity``, reads a verdict on the ambient rather than
+the code, checked once per (alpha, beta) on a probe array and memoised.
 
 ``sweep_rows_json`` and ``suite_json`` build the JSON records that the
 text and CSV views (``sweep_text``, ``csv_row``, ``suite_text``) render.
@@ -24,21 +26,21 @@ Verdict words come from ``_verdict``; ``_mark`` spells a failure FAIL.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from multiprocessing import Pool
 
 import numpy as np
 
 from .code import (
     DEFAULT_MAX_WORDS,
-    _BLOCK_WORDS,
     AdditiveCode,
     BinaryCode,
     Word,
     _add_packed,
     _isin_sorted,
     _type_text,
+    _word_dtype,
     gray_array,
     gray_preimage,
     is_gray_linear_bruteforce,
@@ -135,44 +137,40 @@ def _meet(codes) -> np.ndarray:
     return meet
 
 
-def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 4096) -> bool:
-    """Image of v + w + 2(v * w) must be the XOR of the two images.
+def _gray_identity_holds(code: AdditiveCode, exhaustive_limit: int = 256) -> bool:
+    """Image of v + w + 2(v * w) must be the XOR of the two images.  That
+    holds on every pair of Z2^alpha x Z4^beta, so the verdict is the
+    ambient's, ``_ambient_gray_identity``, computed once per (alpha, beta)."""
+    return _ambient_gray_identity(code.alpha, code.beta, exhaustive_limit)
+
+
+@lru_cache(maxsize=None)
+def _ambient_gray_identity(alpha: int, beta: int, exhaustive_limit: int) -> bool:
+    """The identity on every pair of one probe array of the ambient: every
+    word of an ambient of at most ``exhaustive_limit`` words, else the 8
+    constant words, every single-coordinate word and 64 words drawn from
+    ``random.Random`` seeded with ``"alpha,beta"``.
 
     The sum goes through the real adder, ``_add_packed``, with its carry;
     only the final order-two correction term is a plain high-plane flip,
     written out here rather than taken from the adder, so that a wrong
-    carry cannot cancel out of the check.
-
-    Every word is a probe up to ``exhaustive_limit`` words, the basis
-    words beyond it; the probes are one packed array.  The code's words
-    are taken ``_BLOCK_WORDS`` at a time, and each block meets a column
-    of ``_BLOCK_WORDS // len(block)`` probes (at least one) per pass: a
-    broadcast pass of that many pairs keeps its temporaries in cache, and
-    a small code needs few passes instead of one per probe.
-
-    The passes run in the dtype of ``code.words()``, ``_word_dtype``'s,
-    which the adder and ``gray_array`` keep.
+    carry cannot cancel out of the check.  The pass runs in
+    ``_word_dtype``'s dtype for the width, as the code's words do.
     """
-    alpha, beta = code.alpha, code.beta
-    arr = code.words()
-    if len(arr) <= exhaustive_limit:
-        probes = arr
+    bits, lo_mask = alpha + 2 * beta, ((1 << beta) - 1) << alpha
+    if 1 << bits <= exhaustive_limit:
+        probes = list(range(1 << bits))
     else:
-        probes = np.array([w.packed for w in code.basis_words()], dtype=arr.dtype)
-    column = probes[:, None]
-    images = gray_array(column, alpha, beta)
-    lo_mask, shift = ((1 << beta) - 1) << alpha, beta
-    for start in range(0, len(arr), _BLOCK_WORDS):
-        block = arr[start:start + _BLOCK_WORDS]
-        masks = gray_array(block, alpha, beta)
-        residues = block & lo_mask
-        k = max(1, _BLOCK_WORDS // len(block))
-        for t in range(0, len(probes), k):
-            vs = column[t:t + k]
-            combined = _add_packed(block, vs, alpha, beta) ^ ((residues & vs) << shift)
-            if not np.array_equal(gray_array(combined, alpha, beta), masks ^ images[t:t + k]):
-                return False
-    return True
+        planes = (0, lo_mask, lo_mask << beta, lo_mask | lo_mask << beta)
+        probes = [u + q for u in (0, (1 << alpha) - 1) for q in planes]
+        probes += [1 << i for i in range(bits)]  # a 1 or a 2 at one coordinate
+        probes += [(1 | 1 << beta) << i for i in range(alpha, alpha + beta)]  # a 3
+        probes += map(random.Random(f"{alpha},{beta}").getrandbits, [bits] * 64)
+    v = np.array(probes, dtype=_word_dtype(bits))
+    w = v[:, None]
+    combined = _add_packed(v, w, alpha, beta) ^ ((v & w & lo_mask) << beta)
+    images = gray_array(v, alpha, beta)
+    return np.array_equal(gray_array(combined, alpha, beta), images ^ images[:, None])
 
 
 class _SpecObjects:
@@ -402,6 +400,7 @@ def sweep(
     ]
     jobs = [(s, max_words) for s in specs]
     if workers > 1 and len(jobs) > 1:
+        from multiprocessing import Pool
         with Pool(workers) as pool:
             rows = list(pool.imap(_sweep_one, jobs, chunksize=16))
     else:

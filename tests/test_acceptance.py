@@ -211,8 +211,8 @@ def test_full_enumeration_cross_checks(full_sweep):
 
 @pytest.mark.slow
 def test_gray_identity_and_nesting_everywhere(full_sweep):
-    with acceptance("10", "Gray identity and kernel/code/span nesting hold "
-                          "on every enumerated code"):
+    with acceptance("10", "Gray identity holds on every swept ambient, "
+                          "kernel/code/span nesting on every enumerated code"):
         summary, _ = full_sweep
         needed = ("gray-identity", "kernel-in-code", "code-in-span")
         for row in summary.rows:

@@ -9,12 +9,10 @@ import pytest
 
 from z2z4 import code as code_module, verify
 from z2z4.code import (
-    _BLOCK_WORDS,
     AdditiveCode,
     Word,
     is_gray_linear_bruteforce,
     kernel_bruteforce,
-    ungray,
 )
 from z2z4.cyclic import (
     cardinality,
@@ -163,14 +161,38 @@ def test_a_failed_check_whose_witness_is_over_the_budget_stays_failed(monkeypatc
     assert (row.guarded, row.ok, row.report.witness) == (False, False, report.witness)
 
 
+@pytest.fixture
+def gray_memo():
+    # the verdict is memoised per ambient: a test that swaps the adder or
+    # the Gray map must neither read nor leave a verdict of another one
+    verify._ambient_gray_identity.cache_clear()
+    yield
+    verify._ambient_gray_identity.cache_clear()
+
+
 def _ambient_code(alpha, beta):
     # f = h = 1 and g = x^beta - 1: every word of Z2^alpha x Z4^beta
     g = QuatPoly((3,) + (0,) * (beta - 1) + (1,))
     return materialize(cyclic_spec(alpha, beta, BIN_ONE, BIN_ZERO, Q_ONE, Q_ONE, g))
 
 
+def _spy(calls):
+    def add(a, b, alpha, beta):
+        calls.append((a, b))
+        return code_module._add_packed(a, b, alpha, beta)
+    return add
+
+
 def _carry_dropped(a, b, alpha, beta):
     return code_module._add_packed(a, b, alpha, beta) ^ code_module._star2_packed(a, b, alpha, beta)
+
+
+def _carry_shifted_by_alpha(a, b, alpha, beta):
+    return a ^ b ^ ((a & b & (((1 << beta) - 1) << alpha)) << alpha)
+
+
+def _carry_misses_the_last_coordinate(a, b, alpha, beta):
+    return a ^ b ^ ((a & b & (((1 << (beta - 1)) - 1) << alpha)) << beta)
 
 
 def _gray_bit_flipped_at(word):
@@ -180,76 +202,77 @@ def _gray_bit_flipped_at(word):
     return gray_array
 
 
-def _top_carry_code(alpha, beta):
-    # 16 words, not a full ambient: the only order-4 entry is in the last
-    # quaternary coordinate, so every carry lands on the top bit
-    last = 1 << (beta - 1)
-    return AdditiveCode(alpha, beta, [Word(alpha, beta, 1, last, 0),
-                                      Word(alpha, beta, 2, 0, 0b101),
-                                      Word(alpha, beta, 0, 0, last >> 1)])
-
-
-@pytest.mark.parametrize("alpha, beta", [(2, 5), (2, 7), (2, 15), (3, 15)])
+@pytest.mark.parametrize("alpha, beta", [(2, 5), (2, 7), (2, 15), (3, 15), (1, 35)])
 def test_gray_identity_check_catches_a_wrong_carry_and_a_wrong_gray_bit(
-        monkeypatch, alpha, beta):
-    # 2^12 words take every word as a probe; 2^16 words, four blocks,
-    # take the basis words.  At 32 bits the check runs in uint32 and the
-    # carries land on its top bit, 31; at 33 bits they land on bit 32,
-    # which a uint32 pass would drop, and the dropped carry would pass
+        monkeypatch, gray_memo, alpha, beta):
+    # the probe array of the ambient, in its width's dtype: uint32 up to
+    # 32 bits, where the last coordinate carries into the top bit, 31; at
+    # 33 bits it carries into bit 32, which a uint32 pass would drop; at
+    # 71 bits the words are Python ints
     bits = alpha + 2 * beta
-    code = _top_carry_code(alpha, beta) if bits > 16 else _ambient_code(alpha, beta)
-    arr = code.words()
-    assert len(arr) == (16 if bits > 16 else 1 << bits)
-    if bits > 16:
-        carries = code_module._star2_packed(arr[:, None], arr, alpha, beta)
-        assert set(carries.ravel().tolist()) == {0, 1 << (bits - 1)}
-    assert verify._gray_identity_holds(code)
-    top = int(arr[-1])
-    if len(arr) > _BLOCK_WORDS:
-        # v + w + 2(v * w) is the largest word only for words w of the
-        # last block, so only that block reaches the flipped bit
-        probes = code.basis_words()
-        partners = [Word.from_packed(top, alpha, beta).gray ^ v.gray for v in probes]
-        assert all(ungray(m, alpha, beta).packed >= arr[-_BLOCK_WORDS] for m in partners)
-    for name, fault in (("_add_packed", _carry_dropped), ("gray_array", _gray_bit_flipped_at(top))):
+    zero = AdditiveCode(alpha, beta, [])
+    calls = []
+    monkeypatch.setattr(verify, "_add_packed", _spy(calls))
+    assert verify._gray_identity_holds(zero)
+    probes = calls[0][0]
+    assert probes.dtype == (np.uint32 if bits <= 32 else np.uint64 if bits <= 64 else object)
+    carries = code_module._star2_packed(probes[:, None], probes, alpha, beta)
+    assert 1 << (bits - 1) in set(carries.ravel().tolist())
+    # the last quaternary coordinate holding 1, a single-coordinate probe
+    last = 1 << (alpha + beta - 1)
+    assert last in probes.tolist()
+    faults = [("_add_packed", _carry_dropped),
+              ("_add_packed", _carry_shifted_by_alpha),
+              ("_add_packed", _carry_misses_the_last_coordinate),
+              ("gray_array", _gray_bit_flipped_at(last))]
+    for name, fault in faults:
+        verify._ambient_gray_identity.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(verify, name, fault)
-            assert not verify._gray_identity_holds(code), name
+            assert not verify._gray_identity_holds(zero), fault
 
 
 @pytest.mark.parametrize("alpha, beta, exhaustive", [
     (4, 1, True), (1, 5, True), (2, 5, True), (2, 7, False)])
 def test_gray_identity_check_adds_every_probe_to_every_word(
-        monkeypatch, alpha, beta, exhaustive):
-    # 2^6, 2^11 and 2^12 words take every word as a probe, several probes
-    # per pass; 2^16 words, four blocks, take the basis words one at a time
-    code = _ambient_code(alpha, beta)
-    arr = code.words()
-    probes = arr if exhaustive else [w.packed for w in code.basis_words()]
-    assert (len(arr) <= 4096) == exhaustive
-    # the last probe meets the last word only in the last pass
-    last = (int(probes[-1]), int(arr[-1]))
-    pairs, hits = [], []
+        monkeypatch, gray_memo, alpha, beta, exhaustive):
+    # at a limit of the ambient's size every word is a probe (2^6, 2^11
+    # and 2^12 words); (2, 7), 2^16 words over the default limit, takes
+    # the 8 constant words, the 2 + 3 * 7 single-coordinate words and 64
+    # seeded random ones.  One broadcast pass adds each probe to each
+    bits = alpha + 2 * beta
+    limit = 1 << bits if exhaustive else 256
+    calls = []
+    monkeypatch.setattr(verify, "_add_packed", _spy(calls))
+    assert verify._gray_identity_holds(AdditiveCode(alpha, beta, []), limit)
+    [(probes, column)] = calls
+    assert column.shape == (len(probes), 1)
+    assert np.array_equal(column.ravel(), probes)
+    if exhaustive:
+        assert sorted(probes.tolist()) == list(range(1 << bits))
+    else:
+        singles = {Word(alpha, beta, 1 << i, 0, 0).packed for i in range(alpha)}
+        singles |= {Word(alpha, beta, 0, (q & 1) << j, (q >> 1) << j).packed
+                    for j in range(beta) for q in (1, 2, 3)}
+        assert len(probes) == 8 + len(singles) + 64
+        words = [str(Word.from_packed(int(p), alpha, beta)) for p in probes[:8]]
+        assert words[:4] == ["00|0000000", "00|1111111", "00|2222222", "00|3333333"]
+        assert words[7] == "11|3333333"
+        assert set(probes[8:8 + len(singles)].tolist()) == singles
+    # the verdict is the ambient's: another code of it adds nothing
+    assert verify._gray_identity_holds(_ambient_code(alpha, beta), limit)
+    assert len(calls) == 1
 
-    def adder(fault):
-        def add(a, b, al, be):
-            out = code_module._add_packed(a, b, al, be)
-            pairs.append(np.broadcast(a, b).size)
-            hit = ((a == last[0]) & (b == last[1])) | ((a == last[1]) & (b == last[0]))
-            hits.append(int(np.count_nonzero(hit)))
-            return np.where(hit, out ^ 1, out) if fault else out
-        return add
+    # a wrong sum on one pair only: the last probe added to itself
+    def adder(a, b, al, be):
+        out = code_module._add_packed(a, b, al, be)
+        hit = (a == probes[-1]) & (b == probes[-1])
+        assert np.count_nonzero(hit) == 1
+        return np.where(hit, out ^ 1, out)
 
-    monkeypatch.setattr(verify, "_add_packed", adder(False))
-    assert verify._gray_identity_holds(code)
-    assert sum(pairs) == len(probes) * len(arr)
-    # as many probes per pass as fit a block's worth of pairs
-    assert max(pairs) == min(_BLOCK_WORDS, len(probes) * len(arr))
-    assert sum(hits) == 1
-    pairs.clear()
-    monkeypatch.setattr(verify, "_add_packed", adder(True))
-    assert not verify._gray_identity_holds(code)
-    assert sum(pairs) == len(probes) * len(arr)
+    verify._ambient_gray_identity.cache_clear()
+    monkeypatch.setattr(verify, "_add_packed", adder)
+    assert not verify._gray_identity_holds(AdditiveCode(alpha, beta, []), limit)
 
 
 def test_check_names_are_stable():
@@ -301,11 +324,10 @@ def test_basis_rows_hold_past_the_62_bit_ceiling(alpha, beta, count):
 @pytest.mark.slow
 def test_cross_check_at_71_bits():
     # alpha + 2 beta = 71 bits at (1, 35): the words are Python ints in
-    # object arrays.  |C| = 2^12 stays out of the sample: the exhaustive
-    # Gray-identity probe compares |C|^2 pairs of them, about 10 s a spec
+    # object arrays
     specs = list(enumerate_cyclic_specs(1, 35))
-    small = [s for s in specs if cardinality(s) <= 1 << 8]
-    assert len(small) == 62
+    small = [s for s in specs if cardinality(s) <= 1 << 12]
+    assert len(small) == 128
     assert [str(s) for s in small if not cross_check(s).passed] == []
     # ROADMAP item 1's fault, seen by enumeration: on the two codes of 2^15
     # words with b = 1 + x, ell = 0, h = x - 1 and deg g = 7, the kernel

@@ -41,6 +41,9 @@ a word array one basis word at a time with ``_cosets``.
 basis, Howell form, membership and standard form all reduce ``Word``s,
 and coordinate tuples appear only at the edges (parsing, display, the
 ``rows4``/``rows2`` views, Howell rows and the standard-form blocks).
+``Word`` is a frozen slotted dataclass, range-checked in ``__post_init__``;
+arithmetic results skip the checks through ``_word``, which fills the
+generated slots directly.
 """
 
 from dataclasses import dataclass
@@ -65,27 +68,25 @@ def _word_dtype(bits: int) -> type:
     return np.uint64 if bits <= 64 else object
 
 
+@dataclass(frozen=True, slots=True)
 class Word:
     """One element of Z2^alpha x Z4^beta."""
 
-    __slots__ = ("alpha", "beta", "u", "lo", "hi")
+    alpha: int
+    beta: int
+    u: int
+    lo: int
+    hi: int
 
-    def __init__(self, alpha: int, beta: int, u: int, lo: int, hi: int):
+    def __post_init__(self) -> None:
+        alpha, beta = self.alpha, self.beta
         if alpha < 0 or beta < 0 or alpha + beta == 0:
             raise ValueError("need alpha, beta >= 0 with alpha + beta > 0")
-        if not (0 <= u < (1 << alpha) if alpha else u == 0):
+        if not (0 <= self.u < (1 << alpha) if alpha else self.u == 0):
             raise ValueError("binary block out of range")
         full = (1 << beta) - 1
-        if not (0 <= lo <= full and 0 <= hi <= full):
+        if not (0 <= self.lo <= full and 0 <= self.hi <= full):
             raise ValueError("quaternary block out of range")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     @classmethod
     def from_vectors(cls, xs, ys) -> "Word":
@@ -191,16 +192,6 @@ class Word:
 
         return _word(a, b, rot(self.u, a), rot(self.lo, b), rot(self.hi, b))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Word)
-            and (self.alpha, self.beta, self.u, self.lo, self.hi)
-            == (other.alpha, other.beta, other.u, other.lo, other.hi)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.beta, self.u, self.lo, self.hi))
-
     def __str__(self) -> str:
         xs = "".join(str(x) for x in self.x_vector())
         ys = "".join(str(y) for y in self.y_vector())
@@ -212,9 +203,6 @@ class Word:
     def _check(self, other: "Word") -> None:
         if self.alpha != other.alpha or self.beta != other.beta:
             raise ValueError("mismatched ambient spaces")
-
-    def __reduce__(self):
-        return (Word, (self.alpha, self.beta, self.u, self.lo, self.hi))
 
 
 _set_alpha, _set_beta, _set_u, _set_lo, _set_hi = (
@@ -1119,9 +1107,6 @@ def _validate_standard_form(sf: StandardFormMatrix, code: AdditiveCode) -> None:
         for j in range(d):
             need(yval(r, plain + ge + j) == (1 if i == j else 0), "quaternary")
 
-    regen = AdditiveCode(
-        alpha, beta, [_coords_to_word(alpha, beta, r) for r in sf.rows()],
-        max_words=code.max_words,
-    )
+    regen = AdditiveCode(alpha, beta, [_coords_to_word(alpha, beta, r) for r in sf.rows()])
     if regen != code:
         raise AssertionError("standard form does not regenerate the code")

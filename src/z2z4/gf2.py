@@ -1,15 +1,17 @@
 """Binary polynomial arithmetic on int bitmasks, plus the cyclotomic toolkit.
 
-Bit ``i`` of ``bits`` is the coefficient of ``x^i``.  All arithmetic is
-exact; nothing here is probabilistic.  The module also owns the splitting
-field machinery used to factor ``x^n - 1`` for odd ``n``: cyclotomic
-cosets, a primitive element of GF(2^m) with ``m = ord_2(n)``, and the
-per-coset irreducible factors; everything downstream reduces to this
-factorization.  ``divisor_mask`` alone decides which coset factors
-divide a divisor of x^n + 1, and ``root_exponents`` and ``z4`` read that
-mask.  ``tensor_square`` takes the sumset of root exponents, and
-``pairwise_product_span`` reads the span of coefficientwise products of
-a cyclic code off the tensor square of its check polynomial.
+``BinPoly`` is a frozen slotted dataclass over one int bitmask ``bits``,
+checked in ``__post_init__``: bit ``i`` is the coefficient of ``x^i``.
+All arithmetic is exact; nothing here is probabilistic.  The module also
+owns the splitting field machinery used to factor ``x^n - 1`` for odd
+``n``: cyclotomic cosets, a primitive element of GF(2^m) with
+``m = ord_2(n)``, and the per-coset irreducible factors; everything downstream
+reduces to this factorization.  ``divisor_mask`` alone decides which
+coset factors divide a divisor of x^n + 1, and ``root_exponents`` and
+``z4`` read that mask.  ``tensor_square`` takes the sumset of root
+exponents, and ``pairwise_product_span`` reads the span of
+coefficientwise products of a cyclic code off the tensor square of its
+check polynomial.
 
 Per-length facts are computed once per process: the factor tables
 (``cyclotomic_cosets``, ``build_field``, ``factor_xn1_gf2``) and, for a
@@ -70,12 +72,14 @@ def _gcd2(a: int, b: int) -> int:
     return a
 
 
+@dataclass(frozen=True, slots=True)
 class BinPoly:
     """Immutable polynomial over GF(2)."""
 
-    __slots__ = ("bits",)
+    bits: int
 
-    def __init__(self, bits: int):
+    def __post_init__(self) -> None:
+        bits = self.bits
         if bits < 0:
             raise ValueError("coefficient mask must be nonnegative")
         if bits.bit_length() > DEGREE_GUARD_BITS:
@@ -83,10 +87,6 @@ class BinPoly:
                 f"binary polynomial degree {bits.bit_length() - 1} exceeds guard",
                 predicted=bits.bit_length(),
             )
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinPoly is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "BinPoly":
@@ -141,12 +141,6 @@ class BinPoly:
             return other.bits == 0
         return _mod2(other.bits, self.bits) == 0
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinPoly) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(("BinPoly", self.bits))
-
     def __bool__(self) -> bool:
         return self.bits != 0
 
@@ -155,9 +149,6 @@ class BinPoly:
 
     def __repr__(self) -> str:
         return f"BinPoly({self})"
-
-    def __reduce__(self):
-        return (BinPoly, (self.bits,))
 
 
 BIN_ZERO = BinPoly(0)

@@ -216,16 +216,14 @@ class _SpecObjects:
     def expected_y(self) -> AdditiveCode:
         s = self.spec
         gen = poly_word(0, s.beta, BIN_ZERO, s.f * s.h + 2 * s.f)
-        return AdditiveCode(0, s.beta, shift_orbit(gen, s.beta), max_words=self.max_words)
+        return AdditiveCode(0, s.beta, shift_orbit(gen, s.beta))
 
     def three_generator_code(self) -> AdditiveCode:
         s = self.spec
         w1, w2, w3 = three_generator_words(s)
         return AdditiveCode(
             s.alpha, s.beta,
-            shift_orbit(w1, s.alpha) + shift_orbit(w2, s.beta) + shift_orbit(w3, s.beta),
-            max_words=self.max_words,
-        )
+            shift_orbit(w1, s.alpha) + shift_orbit(w2, s.beta) + shift_orbit(w3, s.beta))
 
 
 # (name, test, note): ``test`` and ``note`` read a ``_SpecObjects``; a

@@ -1,11 +1,13 @@
 """Polynomials over Z4 and the lifting machinery above GF(2).
 
-Coefficients live in {0,1,2,3} and are stored as a tuple with no
-trailing zeros.  Division requires a unit leading coefficient in the
-divisor, which every monic polynomial has.  For odd n, x^n - 1 factors
-over Z4 into the Hensel lifts of the binary coset factors; those lifts
-are computed exactly by the Graeffe root-squaring step, never by
-floating point or iteration to convergence.
+``QuatPoly`` is a frozen slotted dataclass whose own ``__init__``
+reduces the coefficients mod 4 once and stores them as a tuple with no
+trailing zeros, so equal polynomials have equal fields.  Division
+requires a unit leading coefficient in the divisor, which every monic
+polynomial has.  For odd n, x^n - 1 factors over Z4 into the Hensel
+lifts of the binary coset factors; those lifts are computed exactly by
+the Graeffe root-squaring step, never by floating point or iteration to
+convergence.
 
 A monic divisor of x^n - 1 is handled as a bitmask over the basic
 factors, in the order of ``factor_xn1_z4(n)``: bit i stands for the
@@ -33,19 +35,17 @@ from .gf2 import BinPoly, Coset, divisor_mask, ext_gcd2, factor_xn1_gf2, xn_minu
 from .polytext import format_terms, parse_terms
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class QuatPoly:
     """Immutable polynomial over Z4."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
     def __init__(self, coeffs=()):
         cs = [c % 4 for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatPoly is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "QuatPoly":
@@ -148,12 +148,6 @@ class QuatPoly:
             return other.is_zero
         return (other % self).is_zero
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("QuatPoly", self.coeffs))
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -162,9 +156,6 @@ class QuatPoly:
 
     def __repr__(self) -> str:
         return f"QuatPoly({self})"
-
-    def __reduce__(self):
-        return (QuatPoly, (self.coeffs,))
 
 
 Q_ZERO = QuatPoly(())

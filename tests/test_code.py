@@ -5,6 +5,8 @@ are checked against them, so these tests pin the oracles' own behavior
 on hand-computable codes.
 """
 
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from z2z4.code import (
     _isin_sorted,
     _sorted_unique,
     _star2_packed,
+    _word,
     gray_array,
     gray_preimage,
     group_basis,
@@ -37,6 +40,8 @@ from z2z4.code import (
 )
 from z2z4.cyclic import cardinality, enumerate_cyclic_specs, materialize
 from z2z4.errors import SizeGuardError
+from z2z4.gf2 import DEGREE_GUARD_BITS, BinPoly
+from z2z4.z4 import QuatPoly
 
 
 @st.composite
@@ -129,6 +134,69 @@ def test_gray_per_symbol():
     assert Word.parse("|2").gray == 0b11
     assert Word.parse("|3").gray == 0b01
     assert Word.parse("1|").gray == 0b1
+
+
+# the package's immutable values: words, and polynomials over GF(2) and Z4
+values = st.one_of(
+    words(),
+    st.integers(0, (1 << 24) - 1).map(BinPoly),
+    st.lists(st.integers(-8, 8), max_size=12).map(QuatPoly),
+)
+
+
+@given(values, st.data())
+def test_values_refuse_assignment(v, data):
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(v)]))
+    before = getattr(v, name)
+    with pytest.raises(AttributeError):
+        setattr(v, name, data.draw(st.one_of(st.integers(), st.tuples(st.integers()))))
+    assert getattr(v, name) == before
+
+
+@given(values, st.integers(0, pickle.HIGHEST_PROTOCOL))
+def test_values_survive_a_pickle_round_trip(v, protocol):
+    back = pickle.loads(pickle.dumps(v, protocol=protocol))
+    assert type(back) is type(v) and back == v
+    assert hash(back) == hash(v) and repr(back) == repr(v)
+
+
+@given(words())
+def test_unchecked_word_equals_the_checked_one(w):
+    fast = _word(w.alpha, w.beta, w.u, w.lo, w.hi)
+    assert type(fast) is Word and fast == w and hash(fast) == hash(w)
+
+
+@given(st.lists(st.integers(-8, 8), max_size=8), st.lists(st.sampled_from((0, 4, -4))))
+def test_quat_poly_ignores_trailing_zeros_mod_4(cs, zeros):
+    p, q = QuatPoly(cs), QuatPoly(cs + zeros)
+    assert p == q and hash(p) == hash(q) and p.coeffs == q.coeffs
+    assert QuatPoly((1, 0, 4)) == QuatPoly((1,))
+
+
+@given(words(), st.integers(0, (1 << 12) - 1))
+def test_values_equal_only_their_own_type(w, bits):
+    assert w != w.packed and w.packed != w
+    b = BinPoly(bits)
+    q = QuatPoly(b.coeffs())
+    assert b != q and q != b and b.coeffs() == q.coeffs
+    assert BinPoly(1) != QuatPoly((1,))
+
+
+@pytest.mark.parametrize("make, error, text", [
+    pytest.param(lambda: Word(0, 0, 0, 0, 0), ValueError, "with alpha", id="empty-ambient"),
+    pytest.param(lambda: Word(-1, 2, 0, 0, 0), ValueError, "with alpha", id="negative-alpha"),
+    pytest.param(lambda: Word(2, 1, 4, 0, 0), ValueError, "binary block", id="wide-u"),
+    pytest.param(lambda: Word(0, 1, 1, 0, 0), ValueError, "binary block", id="u-without-alpha"),
+    pytest.param(lambda: Word(1, 2, 0, 4, 0), ValueError, "quaternary block", id="wide-lo"),
+    pytest.param(lambda: Word(1, 2, 0, 0, -1), ValueError, "quaternary block", id="negative-hi"),
+    pytest.param(lambda: BinPoly(-1), ValueError, "nonnegative", id="negative-mask"),
+    pytest.param(lambda: BinPoly(1 << DEGREE_GUARD_BITS), SizeGuardError, "exceeds guard",
+                 id="degree-guard"),
+])
+def test_values_check_their_ranges(make, error, text):
+    """Raised, not asserted, so the checks hold under ``python -O`` too."""
+    with pytest.raises(error, match=text):
+        make()
 
 
 @given(words())

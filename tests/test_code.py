@@ -149,7 +149,7 @@ def test_values_refuse_assignment(v, data):
     name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(v)]))
     before = getattr(v, name)
     with pytest.raises(AttributeError):
-        setattr(v, name, data.draw(st.one_of(st.integers(), st.tuples(st.integers()))))
+        setattr(v, name, 0)
     assert getattr(v, name) == before
 
 
@@ -167,19 +167,19 @@ def test_unchecked_word_equals_the_checked_one(w):
 
 
 @given(st.lists(st.integers(-8, 8), max_size=8), st.lists(st.sampled_from((0, 4, -4))))
+@example([1], [0, 4])
 def test_quat_poly_ignores_trailing_zeros_mod_4(cs, zeros):
     p, q = QuatPoly(cs), QuatPoly(cs + zeros)
     assert p == q and hash(p) == hash(q) and p.coeffs == q.coeffs
-    assert QuatPoly((1, 0, 4)) == QuatPoly((1,))
 
 
 @given(words(), st.integers(0, (1 << 12) - 1))
+@example(Word.parse("1|"), 1)
 def test_values_equal_only_their_own_type(w, bits):
     assert w != w.packed and w.packed != w
     b = BinPoly(bits)
     q = QuatPoly(b.coeffs())
     assert b != q and q != b and b.coeffs() == q.coeffs
-    assert BinPoly(1) != QuatPoly((1,))
 
 
 @pytest.mark.parametrize("make, error, text", [

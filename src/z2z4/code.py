@@ -22,12 +22,15 @@ Enumeration is only used where an oracle reads a code's own words, and
 basis and lists no word.  The structure layer reads no array.
 
 Every GF(2) elimination (the order-2 stage of ``group_basis``, the
-standard form, binary codes and type counting) goes through
-``_f2_rref_with_trace``; ``_echelon`` only pre-reduces numpy mask
-arrays for it.  It reduces a large array ``_BLOCK_WORDS`` masks at a
-time, each block by table lookups on the pivots found so far, and stops
-at full rank, because a pass over a whole array of a million words
-streams it through main memory, while a block's temporaries stay in cache.
+standard form, binary codes and type counting) goes through ``_f2_rref``.
+Order-2 words add as their F2 vectors ``_f2`` XOR, so the standard
+form's rows are those vectors, each step pivoting only on the columns it
+names; its order-4 rows need no reduction (see ``GroupBasis``).
+``_echelon`` only pre-reduces numpy mask arrays for ``_f2_rref``.  It
+reduces a large array ``_BLOCK_WORDS`` masks at a time, each block by
+table lookups on the pivots found so far, and stops at full rank,
+because a pass over a whole array of a million words streams it through
+main memory, while a block's temporaries stay in cache.
 
 Set operations on sorted packed arrays (deduplication, membership,
 intersection) go through ``_sorted_unique`` and ``_isin_sorted``, and
@@ -38,9 +41,9 @@ row of them.  ``_enumerate`` lists an additive or a binary code, growing
 a word array one basis word at a time with ``_cosets``.
 
 ``Word``'s bitplane arithmetic is the only Z4 arithmetic: the group
-basis, Howell form, membership and standard form all reduce ``Word``s,
-and coordinate tuples appear only at the edges (parsing, display, the
-``rows4``/``rows2`` views, Howell rows and the standard-form blocks).
+basis, Howell form and membership reduce ``Word``s, and coordinate
+tuples appear only at the edges (parsing, display, the ``rows4``/``rows2``
+views, Howell rows and the standard-form blocks).
 ``Word`` is a frozen slotted dataclass, range-checked in ``__post_init__``;
 arithmetic results skip the checks through ``_word``, which fills the
 generated slots directly.
@@ -341,15 +344,6 @@ def _from_f2(alpha: int, beta: int, v: int) -> Word:
     return _word(alpha, beta, v & ((1 << alpha) - 1), 0, v >> alpha)
 
 
-def _xor_sum(words, trace: int) -> Word:
-    """Sum of the order-2 words an elimination ``trace`` combines."""
-    v = 0
-    for j, w in enumerate(words):
-        if (trace >> j) & 1:
-            v ^= _f2(w)
-    return _from_f2(words[0].alpha, words[0].beta, v)
-
-
 def _cancel(r: Word, pivot: Word, bit: int) -> Word:
     """``r`` minus the multiple of ``pivot`` that clears quaternary ``bit``.
 
@@ -362,34 +356,37 @@ def _cancel(r: Word, pivot: Word, bit: int) -> Word:
     return r
 
 
-def _f2_rref_with_trace(vectors, col_order) -> tuple[
-    list[tuple[int, int, int]], list[int]
-]:
-    """RREF of bit-vectors over GF(2) with full combination tracking.
+def _f2_rref(vectors, col_order) -> tuple[list[tuple[int, int]], list[int]]:
+    """RREF over GF(2) of bit-vectors, pivoting only on ``col_order``.
 
     Pivots are taken in ``col_order``, each from the first remaining
     vector with that bit, and cleared from every other row, so the
     pivot rows are the unique reduced row echelon form for that column
-    order.  Returns (pivot rows as (vector, trace, pivot_col), in pivot
-    order) and (zero-row traces); ``trace`` bit j means original vector
-    j participates.
+    order.  Rows keep their whole vectors, so on ``_f2`` vectors each row
+    is the order-2 word its combination sums to.  Returns (pivot rows as
+    (vector, pivot_col), in pivot order) and (the rows left over, zero on
+    every column of ``col_order``).
     """
-    work = [(v, 1 << i) for i, v in enumerate(vectors)]
-    pivots: list[tuple[int, int, int]] = []
+    work = list(vectors)
+    pivots: list[tuple[int, int]] = []
     for col in col_order:
         bit = 1 << col
-        hit = next(((v, t) for v, t in work if v & bit), None)
+        hit = next((v for v in work if v & bit), None)
         if hit is None:
             continue
         work.remove(hit)
-        hv, ht = hit
-        work = [(v ^ hv, t ^ ht) if v & bit else (v, t) for v, t in work]
-        pivots = [(v ^ hv, t ^ ht, p) if v & bit else (v, t, p) for v, t, p in pivots]
-        pivots.append((hv, ht, col))
-    zeros = [t for v, t in work if v == 0]
-    if any(v for v, _ in work):
-        raise AssertionError("RREF left nonzero rows outside pivots")
-    return pivots, zeros
+        work = [v ^ hit if v & bit else v for v in work]
+        pivots = [(v ^ hit, p) if v & bit else (v, p) for v, p in pivots]
+        pivots.append((hit, col))
+    return pivots, work
+
+
+def _clear(vectors, pivots) -> list[int]:
+    """``vectors`` with each (pivot row, column) of ``pivots`` added to
+    those that have its column's bit; RREF pivots clear them all there."""
+    for pv, col in pivots:
+        vectors = [v ^ pv if (v >> col) & 1 else v for v in vectors]
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -412,7 +409,12 @@ class GroupBasis:
     free in each order-4 row is an order-2 word that is 0 at every
     order-4 pivot; those words form the space T' spanned by the residual
     rows.  ``words2`` is the RREF of T', and the final tidy step reduces
-    each order-4 row to its unique normal form against ``words2``.
+    each order-4 row to its unique normal form against ``words2``, zero
+    at every pivot column of ``words2``.  Those columns are exactly the
+    kappa1, kappa2 and even pivot columns of the standard form (the
+    leading binary positions of T', then the leading quaternary positions
+    of its words with zero binary part), so ``standard_form`` takes the
+    order-4 rows as they are.
     """
 
     alpha: int
@@ -466,9 +468,11 @@ def group_basis(alpha: int, beta: int, generators) -> GroupBasis:
     if any(r.lo for r in rows):
         raise AssertionError("nonzero residue after group elimination")
     col_order = list(range(alpha)) + list(range(alpha + beta - 1, alpha - 1, -1))
-    pivots, _ = _f2_rref_with_trace([_f2(r) for r in rows], col_order)
-    words2 = [_from_f2(alpha, beta, v) for v, _, _ in pivots]
-    pivots2 = [p for _, _, p in pivots]
+    pivots, rest = _f2_rref([_f2(r) for r in rows], col_order)
+    if any(rest):
+        raise AssertionError("RREF left nonzero rows outside pivots")
+    words2 = [_from_f2(alpha, beta, v) for v, _ in pivots]
+    pivots2 = [p for _, p in pivots]
 
     # tidy the order-4 rows at the order-2 pivot columns
     for r2, col in zip(words2, pivots2):
@@ -628,8 +632,10 @@ class BinaryCode:
         """The span of ``masks``; each basis row's pivot is its lowest bit."""
         if isinstance(masks, np.ndarray):
             masks = _echelon(masks, length)
-        pivots, _ = _f2_rref_with_trace(masks, range(length))
-        return cls(length, tuple(sorted((v for v, _, _ in pivots), reverse=True)))
+        pivots, rest = _f2_rref(masks, range(length))
+        if any(rest):
+            raise AssertionError("RREF left nonzero rows outside pivots")
+        return cls(length, tuple(sorted((v for v, _ in pivots), reverse=True)))
 
     @property
     def dim(self) -> int:
@@ -996,68 +1002,54 @@ class StandardFormMatrix:
 def standard_form(code: AdditiveCode) -> StandardFormMatrix:
     alpha, beta = code.alpha, code.beta
     gb = code.basis
-    rows4 = list(gb.words4)
 
-    # split the order-2 rows by whether their quaternary part can be
+    # the order-2 rows as ``_f2`` vectors, quaternary column j at bit
+    # alpha + j; split them by whether their quaternary part can be
     # cancelled: combinations with zero quaternary part give the kappa1
     # block, the rest keep independent halved quaternary parts
-    pivots, zeros = _f2_rref_with_trace([w.hi for w in gb.words2], range(beta))
-    k1_rows = [_xor_sum(gb.words2, t) for t in zeros]
-    rest_rows = [_xor_sum(gb.words2, t) for _, t, _ in pivots]
+    rest, k1_rows = _f2_rref([_f2(w) for w in gb.words2], range(alpha, alpha + beta))
 
     # RREF the kappa1 block on its binary part
-    xp, xz = _f2_rref_with_trace([w.u for w in k1_rows], range(alpha))
-    if xz:
+    k1_final, dependent = _f2_rref(k1_rows, range(alpha))
+    if dependent:
         raise AssertionError("dependent rows in the binary-only block")
-    k1_final = [(_xor_sum(k1_rows, t), p) for _, t, p in xp]
-    k1_pivot_cols = [p for _, p in k1_final]
 
-    # clear the kappa1 pivot columns from everything else (free: the
-    # kappa1 rows have zero quaternary part)
-    for r1, p in k1_final:
-        rest_rows = [r + r1 if (r.u >> p) & 1 else r for r in rest_rows]
-        rows4 = [r + r1 if (r.u >> p) & 1 else r for r in rows4]
-
-    # binary elimination among the remaining order-2 rows: pivot rows
-    # form the kappa2 block, rows reduced to zero binary part the plain
-    # even block
-    xp, xz = _f2_rref_with_trace([w.u for w in rest_rows], range(alpha))
-    k2_rows = [(_xor_sum(rest_rows, t), p) for _, t, p in xp]
-    even_rows = [_xor_sum(rest_rows, t) for t in xz]
-    k2_pivot_cols = [p for _, p in k2_rows]
-
-    # clear kappa2 pivot columns from the order-4 rows
-    for r2, p in k2_rows:
-        rows4 = [r4 + r2 if (r4.u >> p) & 1 else r4 for r4 in rows4]
+    # clear the kappa1 pivot columns from the other rows, then eliminate
+    # those on their binary part: pivot rows form the kappa2 block, rows
+    # left with zero binary part the plain even block
+    k2_rows, even_rows = _f2_rref(_clear([v for v, _ in rest], k1_final), range(alpha))
 
     # canonicalize the plain even rows on halved quaternary parts,
     # scanning right to left
-    ep, ez = _f2_rref_with_trace([w.hi for w in even_rows], range(beta - 1, -1, -1))
-    if ez:
+    ev_final, left = _f2_rref(even_rows, range(alpha + beta - 1, alpha - 1, -1))
+    if left:
         raise AssertionError("even rows left without pivots")
-    ev_final = sorted(((_xor_sum(even_rows, t), p) for _, t, p in ep), key=lambda it: it[1])
-    even_pivot_cols = [p for _, p in ev_final]
+    ev_final.sort(key=lambda it: it[1])
 
-    # reduce every other block at the even pivots so those columns carry
-    # only the identity: kappa2 rows get exact zero, order-4 rows a
-    # residue in {0, 1}
-    for er, p in ev_final:
-        k2_rows = [(r + er, q) if (r.hi >> p) & 1 else (r, q) for r, q in k2_rows]
-        rows4 = [r4 + er if (r4.hi >> p) & 1 else r4 for r4 in rows4]
+    # clear the even pivot columns from the kappa2 rows, so those columns
+    # carry only the identity
+    k2_final = _clear([v for v, _ in k2_rows], ev_final)
 
-    # order-4 rows by ascending pivot column
-    q = sorted(zip(rows4, gb.pivots4), key=lambda it: it[1])
+    # order-4 rows by ascending pivot column, unreduced: group_basis left
+    # them zero at every kappa1, kappa2 and even pivot column (see GroupBasis)
+    q = sorted(zip(gb.words4, gb.pivots4), key=lambda it: it[1])
+
+    def coord_rows(vectors):
+        return _coord_rows(_from_f2(alpha, beta, v) for v in vectors)
+
+    k1_pivot_cols = [p for _, p in k1_final]
+    k2_pivot_cols = [p for _, p in k2_rows]
+    even_pivot_cols = [p - alpha for _, p in ev_final]
     quaternary_pivot_cols = [p - alpha for _, p in q]
-
     x_rest = [c for c in range(alpha) if c not in set(k1_pivot_cols) | set(k2_pivot_cols)]
     y_pivots = set(even_pivot_cols) | set(quaternary_pivot_cols)
     y_rest = [c for c in range(beta) if c not in y_pivots]
     sf = StandardFormMatrix(
         alpha,
         beta,
-        _coord_rows(r for r, _ in k1_final),
-        _coord_rows(r for r, _ in k2_rows),
-        _coord_rows(r for r, _ in ev_final),
+        coord_rows(v for v, _ in k1_final),
+        coord_rows(k2_final),
+        coord_rows(v for v, _ in ev_final),
         _coord_rows(r for r, _ in q),
         tuple(k1_pivot_cols + k2_pivot_cols + x_rest),
         tuple(y_rest + even_pivot_cols + quaternary_pivot_cols),

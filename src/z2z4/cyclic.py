@@ -447,29 +447,30 @@ def enumerate_cyclic_specs(alpha: int, beta: int, type_filter=None):
     """Yield every valid cyclic pair over (alpha, beta), deterministically.
 
     ``type_filter`` restricts to matching (gamma, delta) or (gamma,
-    delta, kappa).  Candidates violating the canonical-pair conditions
-    are skipped, not errors.  More than ``ENUMERATION_LIMIT`` candidates
-    raise SizeGuardError before the first is built.
+    delta, kappa).  ``pair-closure-1`` holds exactly when d = b / gcd(b,
+    h g) over GF(2) divides ell, so only the multiples of d of degree
+    below deg b are built, in ascending order of their bits.  More than
+    ``ENUMERATION_LIMIT`` candidates raise SizeGuardError before the
+    first is built.
     """
     raw = raw_pair_count(alpha, beta)
     if raw > ENUMERATION_LIMIT:
         raise SizeGuardError(f"{raw} candidate pairs at ({alpha}, {beta}), above the "
                              f"{ENUMERATION_LIMIT} guard", predicted=raw)
-    # each basic factor goes into f, h or g; one list of triples per length
+    # each basic factor goes into f, h or g; one list of (f, h, g, h g mod 2) per length
     triples = []
     for assign in product((0, 1, 2), repeat=len(quat_factors(beta))):
         masks = [0, 0, 0]
         for i, slot in enumerate(assign):
             masks[slot] |= 1 << i
-        triples.append([mask_poly(m, beta) for m in masks])
+        f, h, g = (mask_poly(m, beta) for m in masks)
+        triples.append((f, h, g, reduce_mod2(h) * reduce_mod2(g)))
     for b in divisors_of_xn1(alpha):
         ells = [BinPoly(m) for m in range(1 << _deg(b))]
-        for f, h, g in triples:
-            for ell in ells:
-                try:
-                    spec = CyclicSpec(alpha, beta, b, ell, f, h, g)
-                except SpecError:
-                    continue
+        for f, h, g, hg in triples:
+            d = b // gcd2(b, hg)
+            for m in sorted((d * ells[j]).bits for j in range(1 << (_deg(b) - _deg(d)))):
+                spec = CyclicSpec(alpha, beta, b, ells[m], f, h, g)
                 if type_filter is not None:
                     t = type_from_degrees(spec)
                     if (t.gamma, t.delta) != tuple(type_filter[:2]):

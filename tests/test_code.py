@@ -21,6 +21,7 @@ from z2z4.code import (
     Word,
     _BLOCK_WORDS,
     _add_packed,
+    _f2_rref,
     _isin_sorted,
     _sorted_unique,
     _star2_packed,
@@ -556,6 +557,20 @@ def test_binary_code_rrefs():
     )
 
 
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=10),
+       st.permutations(range(12)), st.integers(0, 12))
+def test_f2_rref_on_a_partial_pivot_set(vectors, perm, k):
+    cols = perm[:k]
+    pivots, rest = _f2_rref(vectors, cols)
+    assert [p for _, p in pivots] == [c for c in cols if c in {p for _, p in pivots}]
+    for v, p in pivots:
+        assert all((v >> q) & 1 == (q == p) for _, q in pivots)
+    assert all((v >> c) & 1 == 0 for v in rest for c in cols)
+    span = BinaryCode.from_masks(12, [v for v, _ in pivots] + rest)
+    assert span.dim == BinaryCode.from_masks(12, vectors).dim
+    assert span == BinaryCode.from_masks(12, vectors)
+
+
 def test_echelon_fast_path_matches_scalar_loop():
     rng = np.random.default_rng(11)
     for dtype, max_length in ((np.uint64, 48), (np.uint32, 33)):
@@ -889,13 +904,15 @@ def test_code_type_validates():
                  kappa1=1, kappa2=0, delta1=2, delta2=-1)
 
 
-def test_standard_form_shape():
-    code = _small_mixed_code()
+@settings(deadline=None)
+@given(small_codes())
+@example(_small_mixed_code())
+# its kappa2 row has a 2 at the even row's pivot, which must be cleared
+@example(AdditiveCode(1, 3, [Word.parse("1|022"), Word.parse("0|202")]))
+def test_standard_form_shape(code):
     sf = standard_form(code)
     t = code.code_type()
-    assert sf.gamma == t.gamma
-    assert sf.delta == t.delta
-    assert sf.kappa1 + sf.kappa2 == t.kappa
+    assert (sf.kappa1, sf.kappa2, sf.gamma, sf.delta) == (t.kappa1, t.kappa2, t.gamma, t.delta)
     # rows are stored against the original coordinates: same code back
     assert AdditiveCode(code.alpha, code.beta, sf.words()) == code
     # the recorded column orders are permutations of each block

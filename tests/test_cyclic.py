@@ -126,10 +126,12 @@ def test_constructing_an_invalid_spec_raises(invariant, args):
 
 def test_pair_closure_1_implies_the_old_pair_closure_2():
     # b | h g gcd(b, ell) gives b / gcd(b, h) | g gcd(b, ell), which divides
-    # gcd(b, ell g); so the check b | h gcd(b, ell g) could never fail
-    candidates = built = 0
+    # gcd(b, ell g); so the check b | h gcd(b, ell g) could never fail.  The
+    # specs this raw loop builds are, in order, the ones enumerated
+    candidates = 0
     for alpha in range(1, 7):
         for beta in (1, 3, 5, 7):
+            built = []
             factors = quat_factors(beta)
             for b in divisors_of_xn1(alpha):
                 for assign in product((0, 1, 2), repeat=len(factors)):
@@ -144,15 +146,14 @@ def test_pair_closure_1_implies_the_old_pair_closure_2():
                         closure_2 = ((ht * gcd2(b, ell * gt)) % b).is_zero
                         assert closure_2 or not closure_1, (alpha, beta, b, ell, fhg)
                         try:
-                            CyclicSpec(alpha, beta, b, ell, *fhg)
+                            spec = CyclicSpec(alpha, beta, b, ell, *fhg)
                         except SpecError as exc:
                             assert exc.invariant == "pair-closure-1" and not closure_1
                         else:
                             assert closure_1
-                            built += 1
+                            built.append(spec)
+            assert built == list(enumerate_cyclic_specs(alpha, beta)), (alpha, beta)
     assert candidates == sum(raw_pair_count(a, be) for a in range(1, 7) for be in (1, 3, 5, 7))
-    assert built == sum(len(list(enumerate_cyclic_specs(a, be)))
-                        for a in range(1, 7) for be in (1, 3, 5, 7))
 
 
 def test_pickle_round_trip_keeps_the_spec_and_its_residues():

@@ -23,9 +23,10 @@ basis and lists no word.  The structure layer reads no array.
 
 Every GF(2) elimination (the order-2 stage of ``group_basis``, the
 standard form, binary codes and type counting) goes through ``_f2_rref``.
-Order-2 words add as their F2 vectors ``_f2`` XOR, so the standard
-form's rows are those vectors, each step pivoting only on the columns it
-names; its order-4 rows need no reduction (see ``GroupBasis``).
+Order-2 words add as their F2 vectors ``_f2`` XOR, so an elimination on
+those vectors returns the combined words.  The standard form runs one
+such RREF, for its kappa1 block, and takes its other three blocks from
+the group basis as they are (see ``GroupBasis``).
 ``_echelon`` only pre-reduces numpy mask arrays for ``_f2_rref``.  It
 reduces a large array ``_BLOCK_WORDS`` masks at a time, each block by
 table lookups on the pivots found so far, and stops at full rank,
@@ -381,14 +382,6 @@ def _f2_rref(vectors, col_order) -> tuple[list[tuple[int, int]], list[int]]:
     return pivots, work
 
 
-def _clear(vectors, pivots) -> list[int]:
-    """``vectors`` with each (pivot row, column) of ``pivots`` added to
-    those that have its column's bit; RREF pivots clear them all there."""
-    for pv, col in pivots:
-        vectors = [v ^ pv if (v >> col) & 1 else v for v in vectors]
-    return vectors
-
-
 @dataclass(frozen=True)
 class GroupBasis:
     """Basis of an additive subgroup, split by row order.
@@ -410,11 +403,18 @@ class GroupBasis:
     order-4 pivot; those words form the space T' spanned by the residual
     rows.  ``words2`` is the RREF of T', and the final tidy step reduces
     each order-4 row to its unique normal form against ``words2``, zero
-    at every pivot column of ``words2``.  Those columns are exactly the
-    kappa1, kappa2 and even pivot columns of the standard form (the
-    leading binary positions of T', then the leading quaternary positions
-    of its words with zero binary part), so ``standard_form`` takes the
-    order-4 rows as they are.
+    at every pivot column of ``words2``.
+
+    Those pivot columns, P (binary) and Q (quaternary), are all the
+    leading columns of T' for the order above, so a vector of T' is the
+    sum of the ``words2`` rows whose pivot bits it has set: it is fixed by
+    its values on P and Q.  The standard form's even rows have zero binary
+    part, a 2 at their own pivot in Q and 0 at the rest of Q, so each is
+    the ``words2`` row with that pivot; its kappa2 rows have a 1 at their
+    own pivot in P and 0 at the rest of P and at Q, so each is the
+    ``words2`` row with that pivot.  Only the kappa1 block, the
+    combinations with zero quaternary part, needs an elimination, and the
+    order-4 rows, zero at P and Q, are taken as they are.
     """
 
     alpha: int
@@ -1000,56 +1000,46 @@ class StandardFormMatrix:
 
 
 def standard_form(code: AdditiveCode) -> StandardFormMatrix:
+    """The standard generator matrix of ``code``, which exhibits its type.
+
+    One RREF of the order-2 rows gives the kappa1 block; the kappa2, even
+    and quaternary blocks are rows of the group basis as they are (see
+    ``GroupBasis``).  The result is checked against ``code``.
+    """
     alpha, beta = code.alpha, code.beta
     gb = code.basis
 
     # the order-2 rows as ``_f2`` vectors, quaternary column j at bit
-    # alpha + j; split them by whether their quaternary part can be
-    # cancelled: combinations with zero quaternary part give the kappa1
-    # block, the rest keep independent halved quaternary parts
-    rest, k1_rows = _f2_rref([_f2(w) for w in gb.words2], range(alpha, alpha + beta))
-
-    # RREF the kappa1 block on its binary part
-    k1_final, dependent = _f2_rref(k1_rows, range(alpha))
+    # alpha + j; pivoting on the quaternary columns first leaves the
+    # combinations with zero quaternary part, the kappa1 block, to pivot
+    # on the binary columns
+    col_order = list(range(alpha, alpha + beta)) + list(range(alpha))
+    pivots, dependent = _f2_rref([_f2(w) for w in gb.words2], col_order)
     if dependent:
-        raise AssertionError("dependent rows in the binary-only block")
+        raise AssertionError("dependent rows in the group basis")
+    k1 = [(v, p) for v, p in pivots if p < alpha]
+    k1_pivot_cols = [p for _, p in k1]
 
-    # clear the kappa1 pivot columns from the other rows, then eliminate
-    # those on their binary part: pivot rows form the kappa2 block, rows
-    # left with zero binary part the plain even block
-    k2_rows, even_rows = _f2_rref(_clear([v for v, _ in rest], k1_final), range(alpha))
-
-    # canonicalize the plain even rows on halved quaternary parts,
-    # scanning right to left
-    ev_final, left = _f2_rref(even_rows, range(alpha + beta - 1, alpha - 1, -1))
-    if left:
-        raise AssertionError("even rows left without pivots")
-    ev_final.sort(key=lambda it: it[1])
-
-    # clear the even pivot columns from the kappa2 rows, so those columns
-    # carry only the identity
-    k2_final = _clear([v for v, _ in k2_rows], ev_final)
-
-    # order-4 rows by ascending pivot column, unreduced: group_basis left
-    # them zero at every kappa1, kappa2 and even pivot column (see GroupBasis)
+    # words2 rows with the other binary pivots form the kappa2 block, those
+    # with a quaternary pivot the even block; the order-4 rows are taken
+    # as they are, all by ascending pivot column
+    rows2 = list(zip(gb.words2, gb.pivots2))
+    k2 = [(w, p) for w, p in rows2 if p < alpha and p not in k1_pivot_cols]
+    even = sorted(((w, p) for w, p in rows2 if p >= alpha), key=lambda it: it[1])
     q = sorted(zip(gb.words4, gb.pivots4), key=lambda it: it[1])
 
-    def coord_rows(vectors):
-        return _coord_rows(_from_f2(alpha, beta, v) for v in vectors)
-
-    k1_pivot_cols = [p for _, p in k1_final]
-    k2_pivot_cols = [p for _, p in k2_rows]
-    even_pivot_cols = [p - alpha for _, p in ev_final]
+    k2_pivot_cols = [p for _, p in k2]
+    even_pivot_cols = [p - alpha for _, p in even]
     quaternary_pivot_cols = [p - alpha for _, p in q]
-    x_rest = [c for c in range(alpha) if c not in set(k1_pivot_cols) | set(k2_pivot_cols)]
-    y_pivots = set(even_pivot_cols) | set(quaternary_pivot_cols)
-    y_rest = [c for c in range(beta) if c not in y_pivots]
+    # the kappa1 and kappa2 pivots split the binary pivots of words2
+    x_rest = [c for c in range(alpha) if c not in gb.pivots2]
+    y_rest = [c for c in range(beta) if alpha + c not in gb.pivots2 + gb.pivots4]
     sf = StandardFormMatrix(
         alpha,
         beta,
-        coord_rows(v for v, _ in k1_final),
-        coord_rows(k2_final),
-        coord_rows(v for v, _ in ev_final),
+        _coord_rows(_from_f2(alpha, beta, v) for v, _ in k1),
+        _coord_rows(w for w, _ in k2),
+        _coord_rows(w for w, _ in even),
         _coord_rows(r for r, _ in q),
         tuple(k1_pivot_cols + k2_pivot_cols + x_rest),
         tuple(y_rest + even_pivot_cols + quaternary_pivot_cols),

@@ -21,6 +21,7 @@ from z2z4.code import (
     Word,
     _BLOCK_WORDS,
     _add_packed,
+    _f2,
     _f2_rref,
     _isin_sorted,
     _sorted_unique,
@@ -348,6 +349,26 @@ def test_group_basis_and_size():
     code = AdditiveCode(1, 3, shifts)
     assert code.size == 64
     assert sorted(int(p) for p in code.words())[0] == 0
+
+
+@given(small_codes())
+def test_group_basis_pivot_contract(code):
+    """What ``standard_form`` reads off the group basis: ``pivots2`` run
+    binary ascending, then quaternary descending; each ``words2`` row's
+    ``_f2`` vector is 1 at its own pivot, 0 at the other pivots and 0 at
+    every column before its pivot in that order; and each ``words4``
+    row's ``_f2`` vector is 0 at every ``pivots2`` column."""
+    gb = code.basis
+    a = code.alpha
+    order = list(range(a)) + list(range(a + code.beta - 1, a - 1, -1))
+    rank = {c: i for i, c in enumerate(order)}
+    assert list(gb.pivots2) == sorted(gb.pivots2, key=rank.__getitem__)
+    for w, p in zip(gb.words2, gb.pivots2):
+        v = _f2(w)
+        assert all((v >> c) & 1 == (c == p) for c in gb.pivots2)
+        assert all((v >> c) & 1 == 0 for c in order[: rank[p]])
+    for w in gb.words4:
+        assert all((_f2(w) >> c) & 1 == 0 for c in gb.pivots2)
 
 
 def test_code_equality_ignores_generator_presentation():
@@ -907,7 +928,7 @@ def test_code_type_validates():
 @settings(deadline=None)
 @given(small_codes())
 @example(_small_mixed_code())
-# its kappa2 row has a 2 at the even row's pivot, which must be cleared
+# its kappa2 row has a 2 at the even row's pivot; the RREF of words2 leaves it 0 there
 @example(AdditiveCode(1, 3, [Word.parse("1|022"), Word.parse("0|202")]))
 def test_standard_form_shape(code):
     sf = standard_form(code)

@@ -1,174 +1,21 @@
-"""Additive codes over Z2 x Z4: construction, Gray images, kernels, ranks."""
+"""Additive codes over Z2 x Z4: construction, Gray images, kernels, ranks.
 
-from .errors import SizeGuardError, SpecError
-from .gf2 import (
-    BIN_ONE,
-    BIN_ZERO,
-    BinPoly,
-    binary_factors,
-    cyclotomic_cosets,
-    divisors_of_xn1,
-    gcd2,
-    ext_gcd2,
-    invert_mod2,
-    pairwise_product_span,
-    tensor_square,
-    xn_minus_1,
-)
-from .z4 import (
-    BezoutPair,
-    Q_ONE,
-    Q_ZERO,
-    QuatPoly,
-    bezout_lift,
-    factor_xn1_z4,
-    hensel_lift,
-    lcm_divisors,
-    lift_binary,
-    monic_divisors,
-    quat_factors,
-    reduce_mod2,
-    xn_minus_1_z4,
-)
+The package root exports README's quick start.  Everything else is
+imported from its module: ``z2z4.gf2``, ``z2z4.z4``, ``z2z4.code``,
+``z2z4.cyclic`` or ``z2z4.verify``.
+"""
 
-from .code import (
-    AdditiveCode,
-    BinaryCode,
-    CodeType,
-    DEFAULT_MAX_WORDS,
-    GroupBasis,
-    SpanResult,
-    StandardFormMatrix,
-    Word,
-    gray_array,
-    group_basis,
-    howell_rows,
-    is_gray_linear_bruteforce,
-    kernel_bruteforce,
-    product_code,
-    span_bruteforce,
-    standard_form,
-    star2,
-    type_by_counting,
-    ungray,
-)
-from .cyclic import (
-    CyclicSpec,
-    KernelResult,
-    RankResult,
-    cardinality,
-    cyclic_spec,
-    enumerate_cyclic_specs,
-    gray_linear,
-    kernel_dim_candidates,
-    kernel_spec,
-    linear_subcode_spec,
-    materialize,
-    maximal_linear_subcodes,
-    order_two_spec,
-    poly_word,
-    rank_candidates,
-    rank_spec,
-    raw_pair_count,
-    spec_to_dict,
-    shift_orbit,
-    three_generator_words,
-    type_from_degrees,
-)
-from .verify import (
-    CheckReport,
-    FixtureResult,
-    SuiteReport,
-    SweepSummary,
-    cross_check,
-    paper_suite,
-    suite_json,
-    suite_text,
-    sweep,
-    sweep_rows_csv,
-    sweep_rows_json,
-    sweep_text,
-)
-
+from .gf2 import BinPoly
+from .z4 import QuatPoly
+from .cyclic import cyclic_spec, kernel_spec, materialize, rank_spec
+from .verify import cross_check
 
 __all__ = [
-    "SizeGuardError",
-    "SpecError",
     "BinPoly",
-    "BIN_ZERO",
-    "BIN_ONE",
-    "gcd2",
-    "ext_gcd2",
-    "invert_mod2",
-    "xn_minus_1",
-    "cyclotomic_cosets",
-    "binary_factors",
-    "divisors_of_xn1",
-    "tensor_square",
-    "pairwise_product_span",
     "QuatPoly",
-    "Q_ZERO",
-    "Q_ONE",
-    "reduce_mod2",
-    "lift_binary",
-    "xn_minus_1_z4",
-    "hensel_lift",
-    "factor_xn1_z4",
-    "quat_factors",
-    "monic_divisors",
-    "lcm_divisors",
-    "BezoutPair",
-    "bezout_lift",
-    "Word",
-    "AdditiveCode",
-    "BinaryCode",
-    "CodeType",
-    "GroupBasis",
-    "SpanResult",
-    "StandardFormMatrix",
-    "DEFAULT_MAX_WORDS",
-    "star2",
-    "ungray",
-    "gray_array",
-    "group_basis",
-    "howell_rows",
-    "standard_form",
-    "type_by_counting",
-    "product_code",
-    "kernel_bruteforce",
-    "span_bruteforce",
-    "is_gray_linear_bruteforce",
-    "CyclicSpec",
-    "KernelResult",
-    "RankResult",
-    "cyclic_spec",
-    "cardinality",
-    "type_from_degrees",
-    "materialize",
-    "poly_word",
-    "shift_orbit",
-    "gray_linear",
-    "order_two_spec",
-    "three_generator_words",
-    "linear_subcode_spec",
-    "maximal_linear_subcodes",
-    "kernel_spec",
-    "kernel_dim_candidates",
-    "rank_spec",
-    "rank_candidates",
-    "raw_pair_count",
-    "enumerate_cyclic_specs",
-    "spec_to_dict",
-    "CheckReport",
-    "FixtureResult",
-    "SuiteReport",
-    "SweepSummary",
     "cross_check",
-    "sweep",
-    "sweep_text",
-    "sweep_rows_csv",
-    "sweep_rows_json",
-    "paper_suite",
-    "suite_text",
-    "suite_json",
+    "cyclic_spec",
+    "kernel_spec",
+    "materialize",
+    "rank_spec",
 ]

@@ -886,21 +886,14 @@ def kernel_bruteforce(code: AdditiveCode) -> AdditiveCode:
     return AdditiveCode.from_words(alpha, beta, kept, max_words=code.max_words)
 
 
-@dataclass(frozen=True)
-class SpanResult:
-    rank: int
-    binary_span: BinaryCode
-
-
-def span_bruteforce(code: AdditiveCode) -> SpanResult:
-    """Linear span of the Gray image, and its dimension, the rank.
+def span_bruteforce(code: AdditiveCode) -> BinaryCode:
+    """Linear span of the Gray image; its ``dim`` is the rank.
 
     The rank needs no enumeration of the span itself, only of the code;
     ``gray_preimage`` lifts the span back from its basis when wanted.
     """
     masks = gray_array(code.words(), code.alpha, code.beta)
-    span = BinaryCode.from_masks(code.alpha + 2 * code.beta, masks)
-    return SpanResult(span.dim, span)
+    return BinaryCode.from_masks(code.alpha + 2 * code.beta, masks)
 
 
 def gray_preimage(

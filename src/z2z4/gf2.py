@@ -96,10 +96,6 @@ class BinPoly:
             bits |= 1 << e
         return cls(bits)
 
-    @classmethod
-    def x_pow(cls, e: int) -> "BinPoly":
-        return cls(1 << e)
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

@@ -198,7 +198,7 @@ class _SpecObjects:
     sres = cached_property(lambda o: span_bruteforce(o.code))
     rres = cached_property(lambda o: rank_spec(o.spec))
     rcode = cached_property(lambda o: o.build(o.rres.spec))
-    lifted = cached_property(lambda o: o.lift(o.sres.binary_span, o.spec.alpha))
+    lifted = cached_property(lambda o: o.lift(o.sres, o.spec.alpha))
     px = cached_property(lambda o: o.code.project_x())
     cy = cached_property(lambda o: o.code.project_y())
     ky = cached_property(lambda o: kernel_bruteforce(o.cy))
@@ -206,7 +206,7 @@ class _SpecObjects:
     cpy = cached_property(lambda o: AdditiveCode(
         o.spec.alpha, o.spec.beta, o.sf.c_prime_words(), max_words=o.max_words).project_y())
     kcpy = cached_property(lambda o: _log2(kernel_bruteforce(o.cpy).size))
-    rcpy = cached_property(lambda o: span_bruteforce(o.cpy).rank)
+    rcpy = cached_property(lambda o: span_bruteforce(o.cpy).dim)
 
     def expected_x(self) -> BinaryCode:
         a = self.spec.alpha
@@ -241,9 +241,9 @@ _CHECKS = (
      == (o.t.kappa1, o.t.kappa2, o.t.gamma, o.t.delta), None),
     # linearity, four ways
     ("linearity", lambda o: gray_linear(o.spec) == is_gray_linear_bruteforce(o.code)
-     == (o.sres.rank == o.t.gamma + 2 * o.t.delta) == (o.kdim == o.t.gamma + 2 * o.t.delta),
+     == (o.sres.dim == o.t.gamma + 2 * o.t.delta) == (o.kdim == o.t.gamma + 2 * o.t.delta),
      lambda o: f"closed {gray_linear(o.spec)}, closure oracle "
-               f"{is_gray_linear_bruteforce(o.code)}, rank {o.sres.rank}, kernel dim {o.kdim}"),
+               f"{is_gray_linear_bruteforce(o.code)}, rank {o.sres.dim}, kernel dim {o.kdim}"),
     # kernel
     ("kernel-set", lambda o: o.kcode == o.koracle,
      lambda o: _first_difference(o.kcode, o.koracle)),
@@ -269,18 +269,18 @@ _CHECKS = (
     ("kernel-decomposition", lambda o: o.kdim == o.t.kappa1 + o.t.kappa2 + o.kcpy,
      lambda o: f"dim {o.kdim} != {o.t.kappa1} + {o.t.kappa2} + {o.kcpy}"),
     # rank
-    ("rank-value", lambda o: o.rres.rank == o.sres.rank,
-     lambda o: f"closed {o.rres.rank}, oracle {o.sres.rank}"),
+    ("rank-value", lambda o: o.rres.rank == o.sres.dim,
+     lambda o: f"closed {o.rres.rank}, oracle {o.sres.dim}"),
     ("rank-candidates", lambda o: o.rres.rank in rank_candidates(o.t),
      lambda o: f"rank {o.rres.rank} not among {rank_candidates(o.t)}"),
-    ("rank-lower-bound", lambda o: o.sres.rank >= o.t.kappa1 + o.yres.rank, None),
-    ("rank-decomposition", lambda o: o.sres.rank == o.t.kappa1 + o.t.kappa2 + o.rcpy,
-     lambda o: f"rank {o.sres.rank} != {o.t.kappa1} + {o.t.kappa2} + {o.rcpy}"),
+    ("rank-lower-bound", lambda o: o.sres.dim >= o.t.kappa1 + o.yres.dim, None),
+    ("rank-decomposition", lambda o: o.sres.dim == o.t.kappa1 + o.t.kappa2 + o.rcpy,
+     lambda o: f"rank {o.sres.dim} != {o.t.kappa1} + {o.t.kappa2} + {o.rcpy}"),
     ("rank-set", lambda o: o.rcode == o.lifted,
      lambda o: _first_difference(o.rcode, o.lifted)),
     ("rank-cyclic", lambda o: o.lifted.is_cyclic(), None),
     ("code-in-span", lambda o: o.code.is_subcode_of(o.lifted), None),
-    ("span-projection", lambda o: o.lifted.project_y() == o.lift(o.yres.binary_span, 0), None),
+    ("span-projection", lambda o: o.lifted.project_y() == o.lift(o.yres, 0), None),
     # alternative generator forms
     ("order-two-subcode",
      lambda o: o.build(order_two_spec(o.spec)) == o.code.order_two_subcode(), None),
@@ -288,7 +288,7 @@ _CHECKS = (
     # separable codes only; ``cross_check`` drops these three rows otherwise
     ("separable-product", lambda o: o.code == product_code(o.px, o.cy), None),
     ("separable-kernel", lambda o: o.kdim == o.px.dim + _log2(o.ky.size), None),
-    ("separable-rank", lambda o: o.sres.rank == o.px.dim + o.yres.rank, None),
+    ("separable-rank", lambda o: o.sres.dim == o.px.dim + o.yres.dim, None),
 )
 
 
@@ -698,7 +698,7 @@ def _fx_hensel_lift() -> tuple[bool, list[str]]:
     _require(o.rres.spec.b == BinPoly.parse("1"), f"b_r = {o.rres.spec.b}")
     _require(o.rres.spec.ell == BinPoly.parse("0"), f"ell_r = {o.rres.spec.ell}")
     _require(o.rres.rank == 24, f"rank {o.rres.rank}")
-    _require(o.sres.rank == 24, "oracle rank disagrees")
+    _require(o.sres.dim == 24, "oracle rank disagrees")
     return False, [f"lift of x^4 + x + 1 at length 15 is ({target}); "
                    f"r = f and the rank is 24"]
 
@@ -709,17 +709,17 @@ def _fx_non_cyclic() -> tuple[bool, list[str]]:
     _require(not code.is_cyclic(), "the five-row code should not be cyclic")
     t = code.code_type()
     _require(t.kappa1 == 2, f"kappa1 = {t.kappa1}")
-    rank = span_bruteforce(code).rank
+    rank = span_bruteforce(code).dim
     _require(rank == 8, f"rank {rank}")
     cy = code.project_y()
     _require(is_gray_linear_bruteforce(cy), "the projection should be linear")
     _require(not is_gray_linear_bruteforce(code), "the code should not be linear")
-    ry = span_bruteforce(cy).rank
+    ry = span_bruteforce(cy).dim
     _require(ry == 5, f"projection rank {ry}")
     _require(rank > t.kappa1 + ry, "strict gap expected")
     sf = standard_form(code)
     cprime = AdditiveCode(3, 3, sf.c_prime_words())
-    rcpy = span_bruteforce(cprime.project_y()).rank
+    rcpy = span_bruteforce(cprime.project_y()).dim
     _require(rank == t.kappa1 + t.kappa2 + rcpy, "decomposition mismatch")
     return False, [f"rank 8 = 2 + 1 + 5 while the projection alone has rank 5"]
 
@@ -732,7 +732,7 @@ def _fx_printed_rank_erratum() -> tuple[bool, list[str]]:
     _require(o.rres.r == spec.f, f"r = {o.rres.r} should equal f")
     _require(o.rres.rank == 15, f"rank {o.rres.rank}")
     _require(o.rcode == o.lifted, "span preimage mismatch")
-    _require(o.sres.rank == 15, "oracle rank disagrees")
+    _require(o.sres.dim == 15, "oracle rank disagrees")
     printed = cyclic_spec(3, 7, BinPoly.parse("1"), BinPoly.parse("0"),
                           QuatPoly.parse("1"), X_MINUS_1, P3 * Q3)
     _require(materialize(printed) != o.lifted,

@@ -57,10 +57,6 @@ class QuatPoly:
             out[e] = c
         return cls(out)
 
-    @classmethod
-    def x_pow(cls, e: int) -> "QuatPoly":
-        return cls((0,) * e + (1,))
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

@@ -169,7 +169,7 @@ def test_mixing_erodes_the_binary_divisor_from_the_span():
         assert rres.spec.ell == BinPoly.parse("0")
         assert rres.r == QuatPoly((1,))
         assert rres.rank == 16
-        lifted = gray_preimage(span_bruteforce(materialize(spec)).binary_span, 3, 7)
+        lifted = gray_preimage(span_bruteforce(materialize(spec)), 3, 7)
         assert materialize(rres.spec) == lifted
         expected = AdditiveCode(3, 7, [
             Word.parse("100|0000000"),
@@ -190,9 +190,9 @@ def test_five_row_non_cyclic_rank_decomposition():
         assert not code.is_cyclic()
         t = code.code_type()
         assert t.kappa1 == 2
-        rank = span_bruteforce(code).rank
+        rank = span_bruteforce(code).dim
         assert rank == 8
-        proj_rank = span_bruteforce(code.project_y()).rank
+        proj_rank = span_bruteforce(code.project_y()).dim
         assert proj_rank == 5
         assert rank > t.kappa1 + proj_rank
         assert time.perf_counter() - start < 1.0

@@ -330,7 +330,7 @@ def test_ambient_guard():
     assert arr.dtype == object and arr.tolist() == sorted((w * c).packed for c in range(4))
     assert AdditiveCode.from_words(40, 20, arr) == code
     assert BinaryCode(80, (1 << 79,)).words().tolist() == [0, 1 << 79]
-    span = span_bruteforce(code).binary_span
+    span = span_bruteforce(code)
     assert span.dim == 2 and gray_preimage(span, 40, 20) == code
     with pytest.raises(SizeGuardError) as e:
         AdditiveCode(40, 20, [w], max_words=3).words()
@@ -484,7 +484,7 @@ def test_packed_arrays_take_the_ambient_dtype(code):
     words = _group_words(code.generators)
     rebuilt = AdditiveCode.from_words(a, b, np.array(words, dtype=np.uint64))
     kernel = kernel_bruteforce(code)
-    span = span_bruteforce(code).binary_span
+    span = span_bruteforce(code)
     lifted = gray_preimage(span, a, b)
     vs = [Word.from_packed(p, a, b) for p in words]
     basis = code.basis_words()
@@ -760,29 +760,28 @@ def test_linearity_oracle_agrees_with_exhaustive(code):
 
 def test_span_bruteforce_contains_and_bounds():
     code = _small_mixed_code()
-    res = span_bruteforce(code)
+    span = span_bruteforce(code)
     t = code.code_type()
-    assert t.gamma + 2 * t.delta <= res.rank
-    assert code.is_subcode_of(gray_preimage(res.binary_span, 1, 3))
+    assert t.gamma + 2 * t.delta <= span.dim
+    assert code.is_subcode_of(gray_preimage(span, 1, 3))
     grays = set(int(m) for m in gray_array(code.words(), 1, 3))
-    span_words = set(int(m) for m in res.binary_span.words())
+    span_words = set(int(m) for m in span.words())
     assert grays <= span_words
     assert kernel_bruteforce(code).is_subcode_of(code)
 
 
 def test_span_rank_without_lift():
     code = _small_mixed_code()
-    res = span_bruteforce(code)
-    assert res.rank == res.binary_span.dim
-    lifted = gray_preimage(res.binary_span, 1, 3)
-    assert lifted.size == 1 << res.rank
+    span = span_bruteforce(code)
+    lifted = gray_preimage(span, 1, 3)
+    assert lifted.size == 1 << span.dim
     # the lift lists no word, so a budget below the span binds only the
     # lifted code's own enumeration
-    tight = gray_preimage(res.binary_span, 1, 3, max_words=(1 << res.rank) - 1)
+    tight = gray_preimage(span, 1, 3, max_words=(1 << span.dim) - 1)
     assert tight == lifted
     with pytest.raises(SizeGuardError) as e:
         tight.words()
-    assert e.value.predicted == 1 << res.rank
+    assert e.value.predicted == 1 << span.dim
 
 
 def test_gray_preimage_refuses_a_span_of_another_length():
@@ -802,7 +801,7 @@ def test_gray_preimage_is_the_enumerated_preimage_on_every_small_spec():
              for spec in enumerate_cyclic_specs(alpha, beta) if cardinality(spec) <= 1 << 14]
     assert len(specs) == 1470
     for spec in specs:
-        span = span_bruteforce(materialize(spec)).binary_span
+        span = span_bruteforce(materialize(spec))
         lifted = gray_preimage(span, spec.alpha, spec.beta)
         want = _enumerated_preimage(span, spec.alpha, spec.beta)
         assert lifted == want, spec
@@ -852,13 +851,13 @@ def test_gray_preimage_holds_for_any_basis_of_the_span():
     span = BinaryCode(6, tuple(w.gray for w in ws))
     assert h.size == 16 and BinaryCode.from_masks(6, span.basis).dim == 5
     lifted = gray_preimage(span, 0, 3)
-    assert lifted == gray_preimage(span_bruteforce(h).binary_span, 0, 3)
+    assert lifted == gray_preimage(span_bruteforce(h), 0, 3)
     assert lifted == AdditiveCode(0, 3, ws + [Word.parse("|020")]) and lifted.size == 32
 
 
 def test_gray_preimage_enumerates_nothing(monkeypatch):
     code = _small_mixed_code()
-    span = span_bruteforce(code).binary_span
+    span = span_bruteforce(code)
     calls = []
     real = code_module._enumerate
     monkeypatch.setattr(code_module, "_enumerate",

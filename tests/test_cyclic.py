@@ -245,7 +245,7 @@ def test_rank_closed_form_small():
     res = rank_spec(_mixed_3())
     assert res.rank == 6
     assert res.r == Q_ONE
-    lifted = gray_preimage(span_bruteforce(materialize(_mixed_3())).binary_span, 1, 3)
+    lifted = gray_preimage(span_bruteforce(materialize(_mixed_3())), 1, 3)
     assert materialize(res.spec) == lifted
 
 

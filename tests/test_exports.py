@@ -1,6 +1,8 @@
-"""The package's ``__all__`` lists exactly what ``__init__`` imports, no
-module states an invariant with ``assert``, which ``python -O`` strips,
-and importing the package loads no module it does not need."""
+"""The package's ``__all__`` lists exactly what ``__init__`` imports and
+what README's quick start imports from the root, the quick start runs as
+its comments say, no module states an invariant with ``assert``, which
+``python -O`` strips, and importing the package loads no module it does
+not need."""
 
 import ast
 import os
@@ -9,6 +11,14 @@ import sys
 from pathlib import Path
 
 import z2z4
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_start() -> str:
+    """The ``python`` block under README's "Python quick start"."""
+    section = README.read_text().split("## Python quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def test_all_matches_the_imported_names():
@@ -23,6 +33,28 @@ def test_all_matches_the_imported_names():
     assert len(z2z4.__all__) == len(imported)
     for name in z2z4.__all__:
         assert getattr(z2z4, name) is not None
+    documented = {
+        alias.name
+        for node in ast.parse(_quick_start()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "z2z4"
+        for alias in node.names
+    }
+    assert set(z2z4.__all__) == documented
+
+
+def test_readme_quick_start_runs_as_its_comments_say():
+    # run the block statement by statement, keeping each bare expression's
+    # value: the kernel dimension, the rank and the cross-check verdict
+    ns: dict = {}
+    values = []
+    for node in ast.parse(_quick_start()).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), ns))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), ns)
+    assert values == [3, 6, True]
+    assert ns["code"].size == 32
+    assert len(ns["cross_check"](ns["spec"]).checks) == 31
 
 
 def test_no_assert_statement_in_the_package():

@@ -9,9 +9,9 @@ One more digest covers the same outputs for the five-row non-cyclic
 code, the ``random`` digest for a fixed, seeded list of ``RANDOM_CODES``
 non-cyclic codes with 1 <= alpha, beta <= 6, and the ``pure`` digest for
 ``PURE_CODES`` seeded codes that are purely quaternary (alpha = 0) or
-purely binary (beta = 0).  All of these are canonical forms, so any change to the elimination code that
-moves a single row, pivot or type parameter shows up here.  Regenerate
-the expected digests with
+purely binary (beta = 0).  All of these are canonical forms, so any
+change to the elimination code that moves a single row, pivot or type
+parameter shows up here.  Regenerate the expected digests with
 
     PYTHONPATH=src python tests/test_structure_golden.py > tests/golden/structure.json
 """

@@ -54,7 +54,6 @@ from .verify import (
     cross_check,
     csv_row,
     paper_suite,
-    suite_json,
     suite_text,
     sweep,
     sweep_rows_csv,
@@ -334,22 +333,21 @@ def cmd_search(args: argparse.Namespace) -> int:
 # paper-suite
 
 
-def _suite_csv(report, strict: bool) -> str:
-    """The CSV view of ``suite_json``'s record."""
+def _suite_csv(doc: dict) -> str:
+    """The CSV view of ``paper_suite``'s record."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("id", "title", "passed", "flagged"))
-    for f in suite_json(report, strict=strict)["fixtures"]:
+    for f in doc["fixtures"]:
         writer.writerow((f["id"], f["title"], json.dumps(f["passed"]), json.dumps(f["flagged"])))
     return buf.getvalue()
 
 
 def cmd_paper_suite(args: argparse.Namespace) -> int:
-    report = paper_suite()
-    strict = args.strict_erratum
-    render = {"json": suite_json, "csv": _suite_csv, "text": suite_text}
-    _print(render[args.format](report, strict=strict))
-    return EXIT_OK if report.ok(strict=strict) else EXIT_CHECK_FAILED
+    doc = paper_suite(strict=args.strict_erratum)
+    _print(doc if args.format == "json"
+           else {"text": suite_text, "csv": _suite_csv}[args.format](doc))
+    return EXIT_OK if doc["ok"] else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

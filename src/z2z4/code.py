@@ -15,8 +15,8 @@ and shift counts are Python ints, cast to its width.
 Structure never comes from enumeration: ``group_basis`` extracts a
 basis split into order-4 and order-2 rows by exact elimination over the
 mixed alphabet; that basis is canonical, so it is also the identity of a
-code (``AdditiveCode.__eq__``/``__hash__``).  ``howell_rows`` is an
-independent canonical form, kept as a reference for that identity.
+code (the generated equality on ``AdditiveCode.basis``).  ``howell_rows``
+is an independent canonical form, kept as a reference for that identity.
 Enumeration is only used where an oracle reads a code's own words, and
 ``max_words`` is its one guard; ``gray_preimage`` lifts a span from its
 basis and lists no word.  The structure layer reads no array.
@@ -50,7 +50,7 @@ arithmetic results skip the checks through ``_word``, which fills the
 generated slots directly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -654,31 +654,31 @@ class BinaryCode:
 # additive codes
 
 
+@dataclass(frozen=True, slots=True)
 class AdditiveCode:
     """An additive subgroup of Z2^alpha x Z4^beta.
 
-    Two codes are equal iff they share an ambient space and a group
-    basis; the basis is canonical (see ``GroupBasis``).
+    Two codes are equal iff they share a group basis, the one compared
+    field; the basis is canonical (see ``GroupBasis``) and names the ambient.
     """
 
-    __slots__ = ("alpha", "beta", "generators", "max_words", "_gb", "_words")
+    alpha: int = field(compare=False)
+    beta: int = field(compare=False)
+    generators: tuple[Word, ...] = field(compare=False)
+    max_words: int = field(default=DEFAULT_MAX_WORDS, compare=False)
+    basis: GroupBasis = field(init=False)
+    _words: np.ndarray | None = field(init=False, default=None, compare=False, repr=False)
 
-    def __init__(self, alpha: int, beta: int, generators, max_words: int = DEFAULT_MAX_WORDS):
+    def __post_init__(self) -> None:
+        alpha, beta = self.alpha, self.beta
         if alpha < 0 or beta < 0 or alpha + beta == 0:
             raise ValueError("need alpha, beta >= 0 with alpha + beta > 0")
-        gens = tuple(generators)
+        gens = tuple(self.generators)
         for w in gens:
             if w.alpha != alpha or w.beta != beta:
                 raise ValueError("generator does not live in the stated ambient space")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "max_words", max_words)
-        object.__setattr__(self, "_gb", None)
-        object.__setattr__(self, "_words", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AdditiveCode is immutable; use constructors")
+        object.__setattr__(self, "basis", group_basis(alpha, beta, gens))
 
     @classmethod
     def from_words(
@@ -718,12 +718,6 @@ class AdditiveCode:
         return code
 
     @property
-    def basis(self) -> GroupBasis:
-        if self._gb is None:
-            object.__setattr__(self, "_gb", group_basis(self.alpha, self.beta, self.generators))
-        return self._gb
-
-    @property
     def size(self) -> int:
         return self.basis.size
 
@@ -755,15 +749,6 @@ class AdditiveCode:
 
     def membership_mask(self, packed: np.ndarray) -> np.ndarray:
         return _isin_sorted(self.words(), packed)
-
-    def _identity(self) -> tuple:
-        return (self.alpha, self.beta, self.basis.words4, self.basis.words2)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AdditiveCode) and self._identity() == other._identity()
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
 
     def is_subcode_of(self, other: "AdditiveCode") -> bool:
         return all(other.contains(w) for w in self.basis_words())

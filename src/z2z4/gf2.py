@@ -199,9 +199,6 @@ class Coset:
     def leader(self) -> int:
         return self.exps[0]
 
-    def __len__(self) -> int:
-        return len(self.exps)
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_cosets(n: int) -> tuple[Coset, ...]:

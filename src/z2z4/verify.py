@@ -19,8 +19,9 @@ of ``cross_check`` makes the spec an error sweep row, and the sweep goes on.
 One row, ``gray-identity``, reads a verdict on the ambient rather than
 the code, checked once per (alpha, beta) on a probe array and memoised.
 
-``sweep_rows_json`` and ``suite_json`` build the JSON records that the
-text and CSV views (``sweep_text``, ``csv_row``, ``suite_text``) render.
+``sweep_rows_json`` builds the sweep's JSON records and ``paper_suite``
+builds the suite record; the text and CSV views (``sweep_text``,
+``csv_row``, ``suite_text``) render those.
 Verdict words come from ``_verdict``; ``_mark`` spells a failure FAIL.
 """
 
@@ -505,29 +506,6 @@ Q3 = QuatPoly((3, 2, 3, 1))
 X_MINUS_1 = QuatPoly((3, 1))
 
 
-@dataclass(frozen=True)
-class FixtureResult:
-    fixture_id: str
-    title: str
-    passed: bool
-    flagged: bool
-    details: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    fixtures: tuple[FixtureResult, ...]
-
-    @property
-    def flagged(self) -> tuple[str, ...]:
-        return tuple(f.fixture_id for f in self.fixtures if f.flagged)
-
-    def ok(self, strict: bool = False) -> bool:
-        if not all(f.passed for f in self.fixtures):
-            return False
-        return not (strict and self.flagged)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise AssertionError(message)
@@ -758,21 +736,27 @@ _FIXTURES = (
 )
 
 
-def paper_suite() -> SuiteReport:
-    """Run the pinned regression fixtures in order."""
-    results = []
+def paper_suite(strict: bool = False) -> dict:
+    """Run the pinned regression fixtures in order; return the suite record.
+
+    It is ``ok`` when every fixture passed and, under ``strict``, none is flagged.
+    """
+    fixtures = []
     for fid, title, fn in _FIXTURES:
         try:
             flagged, details = fn()
-            results.append(FixtureResult(fid, title, True, flagged, tuple(details)))
+            passed = True
         except AssertionError as exc:
-            results.append(FixtureResult(fid, title, False, False, (str(exc),)))
-    return SuiteReport(tuple(results))
+            passed, flagged, details = False, False, [str(exc)]
+        fixtures.append({"id": fid, "title": title, "passed": passed,
+                         "flagged": flagged, "details": list(details)})
+    ok = (all(f["passed"] for f in fixtures)
+          and not (strict and any(f["flagged"] for f in fixtures)))
+    return {"fixtures": fixtures, "ok": ok, "strict": strict}
 
 
-def suite_text(report: SuiteReport, strict: bool = False) -> str:
-    """The text view of ``suite_json``'s record."""
-    doc = suite_json(report, strict=strict)
+def suite_text(doc: dict) -> str:
+    """The text view of ``paper_suite``'s record."""
     lines = []
     for f in doc["fixtures"]:
         status = _mark(_verdict(f["passed"])) + (" (flagged)" if f["flagged"] else "")
@@ -782,21 +766,3 @@ def suite_text(report: SuiteReport, strict: bool = False) -> str:
     lines.append(f"suite {'ok' if doc['ok'] else 'failed'}"
                  + (f", flagged: {flagged}" if flagged else ""))
     return "\n".join(lines) + "\n"
-
-
-def suite_json(report: SuiteReport, strict: bool = False) -> dict:
-    """The record of a suite run; its text and CSV views render this."""
-    return {
-        "fixtures": [
-            {
-                "id": f.fixture_id,
-                "title": f.title,
-                "passed": f.passed,
-                "flagged": f.flagged,
-                "details": list(f.details),
-            }
-            for f in report.fixtures
-        ],
-        "ok": report.ok(strict=strict),
-        "strict": strict,
-    }

@@ -138,9 +138,11 @@ def test_gray_per_symbol():
     assert Word.parse("1|").gray == 0b1
 
 
-# the package's immutable values: words, and polynomials over GF(2) and Z4
+# the package's immutable values: words, additive codes, and polynomials
+# over GF(2) and Z4
 values = st.one_of(
     words(),
+    small_codes(),
     st.integers(0, (1 << 24) - 1).map(BinPoly),
     st.lists(st.integers(-8, 8), max_size=12).map(QuatPoly),
 )

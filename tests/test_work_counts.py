@@ -10,8 +10,11 @@ that only reshapes the code leaves every count where it was.
 Each function is counted by rebinding every ``z2z4`` module name bound
 to it, as ``bench/tracing.py`` does, so a call between modules is
 counted under the name the library looks it up by.  ``from_words`` is a
-classmethod and is counted on the class.  No layer counted here sits
-under a cache, so the counts do not depend on what ran before.
+classmethod and is counted on the class, and so is
+``CyclicSpec.__post_init__``: every spec the sweep builds, enumerated or
+derived, runs its checks once, and a change that let a spec skip them
+would move that count.  No layer counted here sits under a cache, so the
+counts do not depend on what ran before.
 """
 
 import functools
@@ -22,6 +25,7 @@ from pathlib import Path
 
 from z2z4 import code, cyclic
 from z2z4.code import AdditiveCode
+from z2z4.cyclic import CyclicSpec
 from z2z4.verify import sweep
 
 GOLDEN = Path(__file__).parent / "golden" / "work_counts.json"
@@ -66,6 +70,8 @@ def test_sweep_work_counts(monkeypatch):
     from_words = AdditiveCode.__dict__["from_words"].__func__
     monkeypatch.setattr(AdditiveCode, "from_words", classmethod(
         _counting(from_words, "AdditiveCode.from_words", counts)))
+    monkeypatch.setattr(CyclicSpec, "__post_init__", _counting(
+        CyclicSpec.__post_init__, "CyclicSpec.__post_init__", counts))
 
     summary = sweep(alpha_max=2, betas=(1, 3, 5, 7), workers=1)
 

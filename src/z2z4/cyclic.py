@@ -17,18 +17,30 @@ correct divisor needs the span of coefficientwise products of the
 high-order binary code; ``pairwise_product_span`` reads it off the
 tensor square of that code's check polynomial.
 
-A ``CyclicSpec`` exists only once its checks pass, and it carries f, h
-and g mod 2.  Each closed form comes in two parts.  The part that reads
-only (f, h, g) is memoised per triple in ``_triple_forms``, keyed on the
-residues of f, h and g and the length: the divisor walk over g with its
+A ``CyclicSpec`` exists only once its checks pass.  A divisor of
+x^beta - 1 over Z4 (beta odd) is the product of the basic factors that
+one bit mask over the cyclotomic cosets selects (MacWilliams-Sloane,
+ch. 7), so a spec carries the masks of h and g; f's is the rest.  The
+checks and the closed forms run on those masks and on int bitmasks
+(``gf2._mul2``, ``_mod2``, ``_gcd2``, ``_divmod2``), and build
+``BinPoly`` and ``QuatPoly`` objects only for result fields.
+``pair-closure-1``, b | hg gcd(b, ell) with hg = h g mod 2, is tested
+as d | ell for d = b / gcd(b, hg): with e = gcd(b, hg), b/e and hg/e are
+coprime, so b/e divides (hg/e) gcd(b, ell) iff it divides gcd(b, ell),
+that is, iff it divides ell.
+
+Each closed form comes in two parts.  The part that reads only (f, h, g)
+is memoised in ``_triple_forms``: the divisor walk over g with its
 tensor squares, the binary Bezout cofactor of (h, g), the factor r that
 the rank moves from f to h, and the polynomials the rank spec reads off
-the product span.  The rest reads b and ell and works modulo b, on
-polynomials of degree below deg b.  The factorization test f h g =
-x^beta - 1 is memoised too.  Specs draw f, h and g from the 3^t ways to
-share t basic factors, so these memos have at most 3^t keys per length.
-Whole results (``kernel_spec``, ``rank_spec``) are not cached, and every
-derived spec is built, and checked, as a new ``CyclicSpec``.
+the product span.  The rest reads b and ell and works modulo b.  The
+memos, per length with t basic factors: ``_residue`` (a mask's divisor
+mod 2) has at most 2^t keys; ``_triple_forms``, ``_factor_text`` (the
+text of f, h and g) and ``_factors_xn1`` (the exact test that f h g is
+x^beta - 1, which also yields the masks) are keyed per triple, with at
+most 3^t valid ones.  Whole results (``kernel_spec``, ``rank_spec``)
+are not cached, and every derived spec is built, and checked, as a new
+``CyclicSpec``.
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +53,10 @@ from .gf2 import (
     BIN_ONE,
     BIN_ZERO,
     BinPoly,
+    _divmod2,
+    _gcd2,
+    _mod2,
+    _mul2,
     divisor_mask,
     divisors_of_xn1,
     ext_gcd2,
@@ -53,7 +69,6 @@ from .gf2 import (
 from .z4 import (
     Q_ZERO,
     QuatPoly,
-    lcm_divisors,
     mask_poly,
     monic_divisors,
     quat_factors,
@@ -67,9 +82,21 @@ ENUMERATION_LIMIT = 1 << 24
 
 
 @lru_cache(maxsize=None)
-def _factors_xn1(f: QuatPoly, h: QuatPoly, g: QuatPoly, beta: int) -> bool:
-    """Whether f h g = x^beta - 1 over Z4 exactly."""
-    return f * h * g == xn_minus_1_z4(beta)
+def _factors_xn1(f: QuatPoly, h: QuatPoly, g: QuatPoly, beta: int) -> tuple[int, int] | None:
+    """The masks of h and g if f h g = x^beta - 1 over Z4 exactly, else None."""
+    if f * h * g != xn_minus_1_z4(beta):
+        return None
+    return quat_mask(h, beta), quat_mask(g, beta)
+
+
+@lru_cache(maxsize=None)
+def _residue(mask: int, beta: int) -> int:
+    """The bits of the divisor of x^beta - 1 that ``mask`` selects, mod 2."""
+    return reduce_mod2(mask_poly(mask, beta)).bits
+
+
+def _f_mask(h_mask: int, g_mask: int, beta: int) -> int:
+    return ((1 << len(quat_factors(beta))) - 1) & ~(h_mask | g_mask)
 
 
 def _pair_text(b, ell, f, h, g, **_) -> str:
@@ -82,13 +109,22 @@ def _spec_text(alpha, beta, b, ell, f, h, g, **_) -> str:
     return f"alpha={alpha} beta={beta} " + _pair_text(b, ell, f, h, g)
 
 
+@lru_cache(maxsize=None)
+def _factor_text(h_mask: int, g_mask: int, beta: int) -> str:
+    """The f, h and g part of ``_pair_text`` for the masks of h and g."""
+    f, h, g = (mask_poly(m, beta) for m in (_f_mask(h_mask, g_mask, beta), h_mask, g_mask))
+    return f"f=({f}) h=({h}) g=({g})"
+
+
 @dataclass(frozen=True, slots=True)
 class CyclicSpec:
     """Generator polynomial data for one cyclic code, checked on construction.
 
     SpecError names the first requirement that fails.  The last two make
     the pair the canonical one for its code, which the closed forms
-    assume.  ``ft``, ``ht`` and ``gt`` are f, h and g mod 2.
+    assume.  ``h_mask`` and ``g_mask`` are the basic-factor masks of h
+    and g; f's is the rest.  A pickle carries the seven declared fields
+    alone, so unpickling builds, and checks, the spec anew.
     """
 
     alpha: int
@@ -98,9 +134,8 @@ class CyclicSpec:
     f: QuatPoly
     h: QuatPoly
     g: QuatPoly
-    ft: BinPoly = field(init=False, repr=False, compare=False)
-    ht: BinPoly = field(init=False, repr=False, compare=False)
-    gt: BinPoly = field(init=False, repr=False, compare=False)
+    h_mask: int = field(init=False, repr=False, compare=False)
+    g_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alpha < 1:
@@ -112,29 +147,35 @@ class CyclicSpec:
         for name, p in (("f", self.f), ("h", self.h), ("g", self.g)):
             if not p.is_monic:
                 raise SpecError("monic-factors", f"{name} must be monic, got {p}")
-        if not _factors_xn1(self.f, self.h, self.g, self.beta):
+        masks = _factors_xn1(self.f, self.h, self.g, self.beta)
+        if masks is None:
             raise SpecError(
                 "factorization", f"f h g must equal x^{self.beta} - 1 over Z4 exactly"
             )
-        if not self.b.divides(xn_minus_1(self.alpha)):
+        b, ell = self.b.bits, self.ell.bits
+        if _mod2((1 << self.alpha) | 1, b):
             raise SpecError("b-divides", f"b = {self.b} does not divide x^{self.alpha} - 1")
-        if not (self.ell.degree < self.b.degree):
+        if ell.bit_length() >= b.bit_length():
             raise SpecError(
                 "ell-degree", f"need deg ell < deg b, got ell = {self.ell}, b = {self.b}"
             )
-        # f, h and g divide x^beta - 1 now, so these are memoised per length
-        for name, p in (("ft", self.f), ("ht", self.h), ("gt", self.g)):
-            object.__setattr__(self, name, reduce_mod2(p))
-        if not ((self.ht * self.gt * gcd2(self.b, self.ell)) % self.b).is_zero:
+        object.__setattr__(self, "h_mask", masks[0])
+        object.__setattr__(self, "g_mask", masks[1])
+        # b | hg gcd(b, ell) iff d = b / gcd(b, hg) divides ell
+        hg = _residue(masks[0] | masks[1], self.beta)
+        if _mod2(ell, _divmod2(b, _gcd2(hg, b))[0]):
             raise SpecError(
                 "pair-closure-1",
                 "b must divide (x^beta - 1)/f * gcd(b, ell) for a canonical pair",
             )
 
+    def __reduce__(self):
+        return CyclicSpec, (self.alpha, self.beta, self.b, self.ell, self.f, self.h, self.g)
+
     def __str__(self) -> str:
-        # str() first keeps this as fast as one f-string; str(spec) is a per-spec key
-        return _spec_text(self.alpha, self.beta, str(self.b), str(self.ell),
-                          str(self.f), str(self.h), str(self.g))
+        # ``_spec_text``'s form, with f, h and g read from the masks' memo
+        return (f"alpha={self.alpha} beta={self.beta} b=({self.b}) ell=({self.ell}) "
+                + _factor_text(self.h_mask, self.g_mask, self.beta))
 
 
 def _deg(p) -> int:
@@ -157,11 +198,12 @@ def cardinality(spec: CyclicSpec) -> int:
 
 def type_from_degrees(spec: CyclicSpec) -> CodeType:
     """Type parameters straight from the generator degrees."""
-    db = _deg(spec.b)
-    d_lg = _deg(gcd2(spec.b, spec.ell * spec.gt))
-    d_l = _deg(gcd2(spec.b, spec.ell))
-    gamma = spec.alpha - db + _deg(spec.h)
-    delta = _deg(spec.g)
+    b, ell = spec.b.bits, spec.ell.bits
+    db = b.bit_length() - 1
+    d_lg = _gcd2(_mul2(ell, _mod2(_residue(spec.g_mask, spec.beta), b)), b).bit_length() - 1
+    d_l = _gcd2(ell, b).bit_length() - 1
+    gamma = spec.alpha - db + spec.h.degree
+    delta = spec.g.degree
     kappa = spec.alpha - d_lg
     kappa1 = spec.alpha - db
     delta1 = d_lg - d_l
@@ -213,31 +255,26 @@ class _TripleForms:
     """What the closed forms of every spec with one (f, h, g) share.
 
     ``walk`` holds the divisors k of g that can qualify for the kernel,
-    grouped by ascending degree, as (k, q, T(q)) with q = (g / k) mod 2.
-    The rank moves ``r`` from f to h; its binary divisor is
-    gcd(b, ell ``p``), and its mixing polynomial is ell ``q`` modulo that
-    divisor.
+    grouped by ascending degree, as (k mask, q, T(q)) with q = (g / k)
+    mod 2.  The rank moves ``r`` from f to h; its binary divisor
+    is gcd(b, ell ``p``), and its mixing polynomial is ell ``q`` modulo
+    that divisor.  Binary fields are int bitmasks.
     """
 
-    h_mask: int
-    g_mask: int
-    mu_g: BinPoly  # mu g mod 2, with lam h + mu g = 1 over GF(2)
-    walk: tuple[tuple[tuple[QuatPoly, BinPoly, BinPoly], ...], ...]
+    mu_g: int  # mu g mod 2, with lam h + mu g = 1 over GF(2)
+    walk: tuple[tuple[tuple[int, int, int], ...], ...]
     r: QuatPoly
     f_over_r: QuatPoly
     h_times_r: QuatPoly
-    p: BinPoly
-    q: BinPoly
+    p: int
+    q: int
 
 
 @lru_cache(maxsize=None)
-def _triple_forms(ft: BinPoly, ht: BinPoly, gt: BinPoly, beta: int) -> _TripleForms:
-    """The (f, h, g) part of every closed form, from f, h and g mod 2.
-
-    Each residue has one monic lift dividing x^beta - 1, so the factor
-    masks of the residues name f, h and g themselves.
-    """
-    f_mask, h_mask, g_mask = (divisor_mask(p, beta) for p in (ft, ht, gt))
+def _triple_forms(h_mask: int, g_mask: int, beta: int) -> _TripleForms:
+    """The (f, h, g) part of every closed form, from the masks of h and g."""
+    f_mask = _f_mask(h_mask, g_mask, beta)
+    ft, ht, gt = (BinPoly(_residue(m, beta)) for m in (f_mask, h_mask, g_mask))
     walk = []
     for _, ks in groupby(monic_divisors(mask_poly(g_mask, beta), beta),
                          key=lambda k: k.degree):
@@ -247,7 +284,7 @@ def _triple_forms(ft: BinPoly, ht: BinPoly, gt: BinPoly, beta: int) -> _TripleFo
             qt = gt // reduce_mod2(k)
             tsq = tensor_square(qt, beta)
             if gcd2(ft, tsq).is_one:  # else k qualifies for no b and ell
-                group.append((k, qt, tsq))
+                group.append((quat_mask(k, beta), qt.bits, tsq.bits))
         if group:
             walk.append(tuple(group))
     # every closed form reads the Bezout identity for (h, g) only mod 2
@@ -261,14 +298,15 @@ def _triple_forms(ft: BinPoly, ht: BinPoly, gt: BinPoly, beta: int) -> _TripleFo
     cofactor = span_gen // gcd2(span_gen, ft)
     st = BIN_ZERO if cofactor.is_one else invert_mod2(rt % cofactor, cofactor)
     return _TripleForms(
-        h_mask, g_mask, mu_g, tuple(walk),
+        mu_g.bits, tuple(walk),
         mask_poly(r_mask, beta), mask_poly(f_mask & ~r_mask, beta),
-        mask_poly(h_mask | r_mask, beta), mu_g * cofactor, BIN_ONE + (BIN_ONE + st) * mu_g,
+        mask_poly(h_mask | r_mask, beta), (mu_g * cofactor).bits,
+        (BIN_ONE + (BIN_ONE + st) * mu_g).bits,
     )
 
 
 def _forms(spec: CyclicSpec) -> _TripleForms:
-    return _triple_forms(spec.ft, spec.ht, spec.gt, spec.beta)
+    return _triple_forms(spec.h_mask, spec.g_mask, spec.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +315,7 @@ def _forms(spec: CyclicSpec) -> _TripleForms:
 
 def gray_linear(spec: CyclicSpec) -> bool:
     """Closed-form linearity test for the full two-block code."""
-    return _minimal_divisors(spec)[0].is_one  # k = 1 is alone in degree 0
+    return _minimal_divisors(spec)[0][0] == 0  # k = 1 is alone in degree 0
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +324,7 @@ def gray_linear(spec: CyclicSpec) -> bool:
 
 def order_two_spec(spec: CyclicSpec) -> CyclicSpec:
     """Generator data for the subcode of words of order at most two."""
-    return linear_subcode_spec(spec, spec.g)
+    return _subcode(spec, spec.g_mask)
 
 
 def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
@@ -296,7 +334,7 @@ def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
     the middle row carries no doubled contribution from ell.
     """
     a, be = spec.alpha, spec.beta
-    ell_b = _ell_for_divisor(spec, spec.gt)
+    ell_b = BinPoly(_ell_for_divisor(spec, _residue(spec.g_mask, spec.beta)))
     return (
         poly_word(a, be, spec.b, Q_ZERO),
         poly_word(a, be, spec.ell + ell_b, spec.f * spec.h),
@@ -308,11 +346,20 @@ def three_generator_words(spec: CyclicSpec) -> tuple[Word, Word, Word]:
 # kernel
 
 
-def _ell_for_divisor(spec: CyclicSpec, kt: BinPoly) -> BinPoly:
-    # ell (k + (1 + k) mu g) mod b, with each factor read mod b
-    b = spec.b
-    kb = kt % b
-    return (spec.ell * (kb + (BIN_ONE + kb) * (_forms(spec).mu_g % b))) % b
+def _ell_for_divisor(spec: CyclicSpec, kt: int) -> int:
+    # ell (k + (1 + k) mu g) mod b, with k and mu g read mod b first
+    b = spec.b.bits
+    kb = _mod2(kt, b)
+    return _mod2(_mul2(spec.ell.bits, kb ^ _mul2(1 ^ kb, _mod2(_forms(spec).mu_g, b))), b)
+
+
+def _subcode(spec: CyclicSpec, k_mask: int) -> CyclicSpec:
+    """``linear_subcode_spec`` for the divisor k of g with mask ``k_mask``."""
+    kt = _residue(k_mask, spec.beta)
+    return CyclicSpec(
+        spec.alpha, spec.beta, spec.b, BinPoly(_ell_for_divisor(spec, kt)), spec.f,
+        mask_poly(spec.h_mask | k_mask, spec.beta), mask_poly(spec.g_mask & ~k_mask, spec.beta),
+    )
 
 
 def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
@@ -322,25 +369,21 @@ def linear_subcode_spec(spec: CyclicSpec, k: QuatPoly) -> CyclicSpec:
     monic k from g to h, and adjusts the binary mixing polynomial
     accordingly.
     """
-    forms = _forms(spec)
     k_mask = quat_mask(k.monic(), spec.beta)
-    if k_mask & ~forms.g_mask:
+    if k_mask & ~spec.g_mask:
         raise ValueError(f"{k} does not divide g = {spec.g}")
-    return CyclicSpec(
-        spec.alpha, spec.beta, spec.b, _ell_for_divisor(spec, reduce_mod2(k)), spec.f,
-        mask_poly(forms.h_mask | k_mask, spec.beta), mask_poly(forms.g_mask & ~k_mask, spec.beta),
-    )
+    return _subcode(spec, k_mask)
 
 
-def _divisor_qualifies(spec: CyclicSpec, qt: BinPoly, tsq: BinPoly) -> bool:
+def _divisor_qualifies(spec: CyclicSpec, qt: int, tsq: int) -> bool:
     """Whether moving k out of g leaves a subcode with linear image.
 
     With q = (g / k) mod 2 that is gcd(f X, T(q)) = 1 over GF(2), where
     X = b / gcd(b, ell q).  It holds iff gcd(f, T(q)) = 1, which the walk
-    has checked, and gcd(X, T(q)) = 1; ell q is read mod b.
+    has checked, and gcd(X, T(q)) = 1; q is read mod b.
     """
-    b = spec.b
-    return gcd2(b // gcd2(b, spec.ell * (qt % b)), tsq).is_one
+    b = spec.b.bits
+    return _gcd2(_divmod2(b, _gcd2(_mul2(spec.ell.bits, _mod2(qt, b)), b))[0], tsq) == 1
 
 
 @dataclass(frozen=True)
@@ -358,14 +401,15 @@ class KernelResult:
     dimension: int
 
 
-def _minimal_divisors(spec: CyclicSpec) -> tuple[QuatPoly, ...]:
-    """The smallest-degree divisors k of g whose subcode has linear image.
+def _minimal_divisors(spec: CyclicSpec) -> tuple[tuple[int, int, int], ...]:
+    """The walk entries of the smallest-degree divisors k of g whose
+    subcode has linear image.
 
     The walk ascends in degree, so the first degree with a qualifying
     divisor is the smallest.
     """
     for group in _forms(spec).walk:
-        minimal = tuple(k for k, qt, tsq in group if _divisor_qualifies(spec, qt, tsq))
+        minimal = tuple(e for e in group if _divisor_qualifies(spec, e[1], e[2]))
         if minimal:
             return minimal
     raise AssertionError("k = g must always qualify")
@@ -373,16 +417,19 @@ def _minimal_divisors(spec: CyclicSpec) -> tuple[QuatPoly, ...]:
 
 def kernel_spec(spec: CyclicSpec) -> KernelResult:
     minimal = _minimal_divisors(spec)
-    k_prime = lcm_divisors(minimal, spec.beta)
-    kspec = linear_subcode_spec(spec, k_prime)
-    t = type_from_degrees(spec)
-    dim = t.gamma + 2 * t.delta - _deg(k_prime)
-    return KernelResult(kspec, k_prime, minimal, dim)
+    k_mask = 0  # k' is the lcm of the minimal divisors
+    for m, _, _ in minimal:
+        k_mask |= m
+    k_prime = mask_poly(k_mask, spec.beta)
+    # gamma + 2 delta, less deg k'
+    dim = spec.alpha - spec.b.degree + spec.h.degree + 2 * spec.g.degree - k_prime.degree
+    return KernelResult(_subcode(spec, k_mask), k_prime,
+                        tuple(mask_poly(m, spec.beta) for m, _, _ in minimal), dim)
 
 
 def maximal_linear_subcodes(spec: CyclicSpec) -> tuple[CyclicSpec, ...]:
     """Subcodes with linear image that are maximal among the cyclic ones."""
-    return tuple(linear_subcode_spec(spec, k) for k in _minimal_divisors(spec))
+    return tuple(_subcode(spec, m) for m, _, _ in _minimal_divisors(spec))
 
 
 def kernel_dim_candidates(t: CodeType) -> tuple[int, ...]:
@@ -418,12 +465,14 @@ class RankResult:
 
 def rank_spec(spec: CyclicSpec) -> RankResult:
     forms = _forms(spec)
-    b_r = gcd2(spec.b, spec.ell * (forms.p % spec.b))
-    ell_r = (spec.ell * (forms.q % b_r)) % b_r
+    b, ell = spec.b.bits, spec.ell.bits
+    b_r = _gcd2(_mul2(ell, _mod2(forms.p, b)), b)
+    ell_r = _mod2(_mul2(ell, _mod2(forms.q, b_r)), b_r)
     rspec = CyclicSpec(
-        spec.alpha, spec.beta, b_r, ell_r, forms.f_over_r, forms.h_times_r, spec.g
+        spec.alpha, spec.beta, BinPoly(b_r), BinPoly(ell_r), forms.f_over_r, forms.h_times_r,
+        spec.g,
     )
-    rank = (spec.alpha - _deg(b_r)) + _deg(forms.h_times_r) + 2 * _deg(spec.g)
+    rank = (spec.alpha - b_r.bit_length() + 1) + forms.h_times_r.degree + 2 * spec.g.degree
     return RankResult(rspec, forms.r, rank)
 
 
@@ -464,12 +513,12 @@ def enumerate_cyclic_specs(alpha: int, beta: int, type_filter=None):
         for i, slot in enumerate(assign):
             masks[slot] |= 1 << i
         f, h, g = (mask_poly(m, beta) for m in masks)
-        triples.append((f, h, g, reduce_mod2(h) * reduce_mod2(g)))
+        triples.append((f, h, g, _residue(masks[1] | masks[2], beta)))
     for b in divisors_of_xn1(alpha):
         ells = [BinPoly(m) for m in range(1 << _deg(b))]
         for f, h, g, hg in triples:
-            d = b // gcd2(b, hg)
-            for m in sorted((d * ells[j]).bits for j in range(1 << (_deg(b) - _deg(d)))):
+            d = _divmod2(b.bits, _gcd2(hg, b.bits))[0]
+            for m in sorted(_mul2(d, j) for j in range(1 << (_deg(b) - d.bit_length() + 1))):
                 spec = CyclicSpec(alpha, beta, b, ells[m], f, h, g)
                 if type_filter is not None:
                     t = type_from_degrees(spec)

@@ -63,7 +63,15 @@ def _divmod2(a: int, b: int) -> tuple[int, int]:
 
 
 def _mod2(a: int, b: int) -> int:
-    return _divmod2(a, b)[1]
+    # _divmod2's loop without the quotient
+    if b == 0:
+        raise ZeroDivisionError("binary polynomial division by zero")
+    db = b.bit_length()
+    shift = a.bit_length() - db
+    while shift >= 0:
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return a
 
 
 def _gcd2(a: int, b: int) -> int:

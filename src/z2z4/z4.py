@@ -21,10 +21,11 @@ equals ``hensel_lift(p, n)``.
 Memoised per process: ``factor_xn1_z4(n)``; ``mask_poly(mask, n)`` on a
 mask, at most 2^t keys per length for t basic factors; and, for a monic
 divisor g of x^n - 1, ``monic_divisors(g, n)`` and ``reduce_mod2(g)``,
-again at most 2^t keys.  Factoring calls no memo below its own table
-(neither ``hensel_lift`` nor ``reduce_mod2``), so clearing that cache,
-as ``bench/run.py`` does to time cold factoring, makes factoring cold
-again.
+again at most 2^t keys.  ``cyclic`` keys its own memos on masks and
+reads these once per mask or per (f, h, g) triple, not once per spec.
+Factoring calls no memo below its own table (neither ``hensel_lift``
+nor ``reduce_mod2``), so clearing that cache, as ``bench/run.py`` does
+to time cold factoring, makes factoring cold again.
 """
 
 from dataclasses import dataclass
@@ -254,14 +255,6 @@ def monic_divisors(g: QuatPoly, n: int) -> tuple[QuatPoly, ...]:
         m = (m - 1) & gm
     divs.sort(key=lambda d: (len(d.coeffs), d.coeffs))
     return tuple(divs)
-
-
-def lcm_divisors(ks, n: int) -> QuatPoly:
-    """Least common multiple of monic divisors of x^n - 1."""
-    mask = 0
-    for k in ks:
-        mask |= quat_mask(k, n)
-    return mask_poly(mask, n)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from z2z4.code import (
 from z2z4.cyclic import (
     ENUMERATION_LIMIT,
     CyclicSpec,
+    _spec_text,
     _triple_forms,
     cardinality,
     cyclic_spec,
@@ -48,6 +49,7 @@ from z2z4.z4 import (
     QuatPoly,
     monic_divisors,
     quat_factors,
+    quat_mask,
     reduce_mod2,
     xn_minus_1_z4,
 )
@@ -117,6 +119,8 @@ XN3 = QuatPoly.parse("x^3 - 1")
     ("b-divides", (2, 3, BinPoly.parse("x^2 + x + 1"), BIN_ZERO, Q_ONE, Q_ONE, XN3)),
     ("ell-degree", (1, 3, BIN_ONE, BIN_ONE, Q_ONE, Q_ONE, XN3)),
     ("pair-closure-1", (1, 1, X1, BIN_ONE, XM1, Q_ONE, Q_ONE)),
+    # f = h = x - 1: monic divisors whose masks overlap
+    ("factorization", (1, 3, BIN_ONE, BIN_ZERO, XM1, XM1, QuatPoly((1, 1, 1)))),
 ])
 def test_constructing_an_invalid_spec_raises(invariant, args):
     with pytest.raises(SpecError, match=f"^{invariant}: ") as excinfo:
@@ -124,13 +128,15 @@ def test_constructing_an_invalid_spec_raises(invariant, args):
     assert excinfo.value.invariant == invariant
 
 
-def test_pair_closure_1_implies_the_old_pair_closure_2():
-    # b | h g gcd(b, ell) gives b / gcd(b, h) | g gcd(b, ell), which divides
-    # gcd(b, ell g); so the check b | h gcd(b, ell g) could never fail.  The
-    # specs this raw loop builds are, in order, the ones enumerated
+def _compare_pair_closure_forms(alphas, betas) -> int:
+    """Every raw candidate over alphas x betas, as ``raw_pair_count`` counts
+    them: the spec's own check (d | ell for d = b / gcd(b, h g)) against
+    the polynomial form b | h g gcd(b, ell), and that against the old
+    pair-closure-2.  The specs built are, in order, the ones enumerated.
+    Returns the number of candidates."""
     candidates = 0
-    for alpha in range(1, 7):
-        for beta in (1, 3, 5, 7):
+    for alpha in alphas:
+        for beta in betas:
             built = []
             factors = quat_factors(beta)
             for b in divisors_of_xn1(alpha):
@@ -153,15 +159,39 @@ def test_pair_closure_1_implies_the_old_pair_closure_2():
                             assert closure_1
                             built.append(spec)
             assert built == list(enumerate_cyclic_specs(alpha, beta)), (alpha, beta)
-    assert candidates == sum(raw_pair_count(a, be) for a in range(1, 7) for be in (1, 3, 5, 7))
+    assert candidates == sum(raw_pair_count(a, be) for a in alphas for be in betas)
+    return candidates
 
 
-def test_pickle_round_trip_keeps_the_spec_and_its_residues():
+def test_pair_closure_1_implies_the_old_pair_closure_2():
+    # b | h g gcd(b, ell) gives b / gcd(b, h) | g gcd(b, ell), which divides
+    # gcd(b, ell g); so the check b | h gcd(b, ell g) could never fail
+    _compare_pair_closure_forms(range(1, 7), (1, 3, 5, 7))
+
+
+def test_pair_closure_1_mask_form_matches_the_polynomial_form_at_beta_15():
+    # the closed-forms range: five basic factors, b up to (x + 1)^4
+    assert _compare_pair_closure_forms(range(1, 5), (15,)) == 13_608
+
+
+def test_pickle_round_trip_keeps_the_spec_and_its_masks():
     spec = _mixed_3()
     back = pickle.loads(pickle.dumps(spec))
     assert back == spec and hash(back) == hash(spec) and repr(back) == repr(spec)
-    assert repr(spec).endswith(f"g={spec.g!r})")  # residues are not in the repr
-    assert (back.ft, back.ht, back.gt) == tuple(map(reduce_mod2, (spec.f, spec.h, spec.g)))
+    assert repr(spec).endswith(f"g={spec.g!r})")  # masks are not in the repr
+    assert (back.h_mask, back.g_mask) == (quat_mask(spec.h, 3), quat_mask(spec.g, 3)) == (1, 2)
+    assert str(back) == str(spec) == _spec_text(**spec_to_dict(spec))
+
+
+def test_unpickling_builds_the_spec_anew(monkeypatch):
+    spec = _mixed_3()
+    assert spec.__reduce__() == (CyclicSpec, (1, 3, X1, BIN_ONE, Q_ONE, XM1, QuatPoly((1, 1, 1))))
+    data = pickle.dumps(spec)
+    calls = []
+    checks = CyclicSpec.__post_init__
+    monkeypatch.setattr(CyclicSpec, "__post_init__", lambda s: calls.append(s) or checks(s))
+    assert pickle.loads(data) == spec
+    assert len(calls) == 1
 
 
 def test_known_type():
@@ -256,14 +286,14 @@ def test_rank_forms_agree_with_the_rotation_product_span(n):
     whole = xn_minus_1_z4(n)
     for g in monic_divisors(whole, n):
         for h in monic_divisors(whole // g, n):
-            ft, ht, gt = (reduce_mod2(p) for p in (whole // (g * h), h, g))
-            forms = _triple_forms(ft, ht, gt, n)
+            ft, ht = (reduce_mod2(p) for p in (whole // (g * h), h))
+            forms = _triple_forms(quat_mask(h, n), quat_mask(g, n), n)
             rt = reduce_mod2(forms.r)
             span = _rotation_product_gcd(ft * ht, n)
             shared = gcd2(span, ft)
             assert rt.divides(ft)
             assert shared * rt == ft
-            assert forms.p == forms.mu_g * (span // shared)
+            assert BinPoly(forms.p) == BinPoly(forms.mu_g) * (span // shared)
 
 
 def test_rank_candidates():

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from z2z4.cyclic import (
+    _factor_text,
+    _factors_xn1,
+    _residue,
     _triple_forms,
     enumerate_cyclic_specs,
     kernel_spec,
@@ -20,7 +23,6 @@ from z2z4.z4 import (
     divisor_mask,
     factor_xn1_z4,
     hensel_lift,
-    lcm_divisors,
     lift_binary,
     mask_poly,
     monic_divisors,
@@ -155,9 +157,10 @@ def test_memoised_divisor_tables_equal_their_originals(n):
             assert reduce_mod2(g) == reduce_mod2.__wrapped__(g)
             assert divisor_mask(gt, n) == divisor_mask.__wrapped__(gt, n)
             assert mask_poly(quat_mask(g, n), n) == mask_poly.__wrapped__(quat_mask(g, n), n) == g
+            assert _residue(quat_mask(g, n), n) == _residue.__wrapped__(quat_mask(g, n), n) == gt.bits
             for h in monic_divisors(whole // g, n):
-                ht, ft = reduce_mod2(h), reduce_mod2(whole // (g * h))
-                assert _triple_forms(ft, ht, gt, n) == _triple_forms.__wrapped__(ft, ht, gt, n)
+                hm, gm = quat_mask(h, n), quat_mask(g, n)
+                assert _triple_forms(hm, gm, n) == _triple_forms.__wrapped__(hm, gm, n)
         # the mask-built lift is the Hensel lift
         assert mask_poly(divisor_mask(gt, n), n) == hensel_lift(gt, n)
         # products of coprime divisors and quotients of nested ones
@@ -171,18 +174,23 @@ def test_memoised_divisor_tables_equal_their_originals(n):
 
 def test_closed_form_memos_stay_within_their_per_length_bounds():
     # 2^6 divisors and 3^6 triples at length 21
-    for memo in (divisor_mask, mask_poly, _triple_forms):
+    per_divisor = (divisor_mask, mask_poly, _residue)
+    per_triple = (_factors_xn1, _factor_text, _triple_forms)
+    for memo in per_divisor + per_triple:
         memo.cache_clear()
     for alpha in range(1, 5):
         for spec in enumerate_cyclic_specs(alpha, 21):
-            kernel_spec(spec)
-            rank_spec(spec)
-            maximal_linear_subcodes(spec)
-    assert divisor_mask.cache_info().currsize <= 64
-    assert mask_poly.cache_info().currsize <= 64
-    # kernel, rank and subcode forms all read the one per-triple memo
-    assert _triple_forms.cache_info().currsize <= 729
-    assert _triple_forms.cache_info().misses <= 729
+            str(spec)
+            for derived in (kernel_spec(spec).spec, rank_spec(spec).spec,
+                            *maximal_linear_subcodes(spec)):
+                str(derived)
+    for memo in per_divisor:
+        assert memo.cache_info().currsize <= 64
+    # spec checks, texts and the kernel, rank and subcode forms all read
+    # per-triple memos, derived specs included
+    for memo in per_triple:
+        assert memo.cache_info().currsize <= 729
+        assert memo.cache_info().misses <= 729
 
 
 @pytest.mark.parametrize("n", (7, 9, 15, 21))
@@ -190,13 +198,6 @@ def test_quotient_of_divisors_reduces_to_the_binary_quotient(n):
     for g in monic_divisors(xn_minus_1_z4(n), n):
         for k in monic_divisors(g, n):
             assert reduce_mod2(g // k) == reduce_mod2(g) // reduce_mod2(k)
-
-
-def test_lcm_divisors():
-    assert lcm_divisors((P3, Q3), 7) == P3 * Q3
-    assert lcm_divisors((P3, P3), 7) == P3
-    assert lcm_divisors((), 7) == Q_ONE
-    assert lcm_divisors((P3, P3 * Q3), 7) == P3 * Q3
 
 
 def test_bezout_lift_identity():

@@ -110,10 +110,9 @@ def _spec_text(alpha, beta, b, ell, f, h, g, **_) -> str:
 
 
 @lru_cache(maxsize=None)
-def _factor_text(h_mask: int, g_mask: int, beta: int) -> str:
-    """The f, h and g part of ``_pair_text`` for the masks of h and g."""
-    f, h, g = (mask_poly(m, beta) for m in (_f_mask(h_mask, g_mask, beta), h_mask, g_mask))
-    return f"f=({f}) h=({h}) g=({g})"
+def _factor_text(h_mask: int, g_mask: int, beta: int) -> tuple[str, str, str]:
+    """The texts of f, h and g, from the masks of h and g."""
+    return tuple(str(mask_poly(m, beta)) for m in (_f_mask(h_mask, g_mask, beta), h_mask, g_mask))
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,9 +172,8 @@ class CyclicSpec:
         return CyclicSpec, (self.alpha, self.beta, self.b, self.ell, self.f, self.h, self.g)
 
     def __str__(self) -> str:
-        # ``_spec_text``'s form, with f, h and g read from the masks' memo
-        return (f"alpha={self.alpha} beta={self.beta} b=({self.b}) ell=({self.ell}) "
-                + _factor_text(self.h_mask, self.g_mask, self.beta))
+        return _spec_text(self.alpha, self.beta, self.b, self.ell,
+                          *_factor_text(self.h_mask, self.g_mask, self.beta))
 
 
 def _deg(p) -> int:

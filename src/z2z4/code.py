@@ -3,14 +3,14 @@
 A word is stored as three bitplanes: ``u`` for the binary block and
 ``lo``/``hi`` for the quaternary block, where the coordinate value is
 ``lo_i + 2*hi_i``.  A whole code is a sorted numpy array of packed
-words, in the one dtype ``_word_dtype`` gives its width: uint32 up to 32
-bits (alpha + 2 beta, or a binary code's ``length``), uint64 up to 64,
-and Python ints (``object``) above, so no width is refused.  Every
-bulk operation (enumeration, Gray images, membership, kernels, spans) is
-a few vectorized bitplane ops, so the oracles stay exact while handling
-millions of words.  The packed-word kernels (``_add_packed``,
-``_star2_packed``, ``gray_array``) keep their input's dtype: their masks
-and shift counts are Python ints, cast to its width.
+words, in the one dtype ``_word_dtype`` gives its width alpha + 2 beta:
+uint32 up to 32 bits, uint64 up to 64, and Python ints (``object``)
+above, so no width is refused.  Every bulk operation (enumeration, Gray
+images, membership, kernels, spans) is a few vectorized bitplane ops, so
+the oracles stay exact while handling millions of words.  The packed-word
+kernels (``_add_packed``, ``_star2_packed``, ``gray_array``) keep their
+input's dtype: their masks and shift counts are Python ints, cast to its
+width.
 
 Structure never comes from enumeration: ``group_basis`` extracts a
 basis split into order-4 and order-2 rows by exact elimination over the
@@ -21,25 +21,30 @@ Enumeration is only used where an oracle reads a code's own words, and
 ``max_words`` is its one guard; ``gray_preimage`` lifts a span from its
 basis and lists no word.  The structure layer reads no array.
 
-Every GF(2) elimination (the order-2 stage of ``group_basis``, the
-standard form, binary codes and type counting) goes through ``_f2_rref``.
+A binary linear code of length n is the additive code with alpha = n
+and beta = 0: ``binary_code`` builds one, and Gray spans and binary
+projections are such codes.
+
+Every GF(2) elimination (the order-2 stage of ``group_basis``, so every
+binary code, and the standard form) goes through ``_f2_rref``; the ranks
+of ``code_type`` and ``type_by_counting`` come from ``_f2_rank``.
 Order-2 words add as their F2 vectors ``_f2`` XOR, so an elimination on
 those vectors returns the combined words.  The standard form runs one
 such RREF, for its kappa1 block, and takes its other three blocks from
 the group basis as they are (see ``GroupBasis``).
-``_echelon`` only pre-reduces numpy mask arrays for ``_f2_rref``.  It
-reduces a large array ``_BLOCK_WORDS`` masks at a time, each block by
-table lookups on the pivots found so far, and stops at full rank,
-because a pass over a whole array of a million words streams it through
-main memory, while a block's temporaries stay in cache.
+``_echelon`` pre-reduces numpy mask arrays for ``_f2_rref`` and ranks
+them for ``_f2_rank``.  It reduces a large array ``_BLOCK_WORDS`` masks
+at a time, each block by table lookups on the pivots found so far, and
+stops at full rank, because a pass over a whole array of a million words
+streams it through main memory, while a block's temporaries stay in cache.
 
 Set operations on sorted packed arrays (deduplication, membership,
 intersection) go through ``_sorted_unique`` and ``_isin_sorted``, and
 arithmetic on packed words (sums, doubled products) goes through
 ``_add_packed`` and ``_star2_packed``, which broadcast like any numpy
 operator, so one call adds a word to an array or a column of words to a
-row of them.  ``_enumerate`` lists an additive or a binary code, growing
-a word array one basis word at a time with ``_cosets``.
+row of them.  ``_enumerate`` lists a code, growing a word array one
+basis word at a time with ``_cosets``.
 
 ``Word``'s bitplane arithmetic is the only Z4 arithmetic: the group
 basis, Howell form and membership reduce ``Word``s, and coordinate
@@ -569,7 +574,7 @@ class CodeType:
 
 
 # ---------------------------------------------------------------------------
-# binary codes (Gray images live here)
+# GF(2) ranks of mask lists and arrays
 
 
 def _echelon(masks: np.ndarray, length: int) -> list[int]:
@@ -620,34 +625,12 @@ def _echelon(masks: np.ndarray, length: int) -> list[int]:
     return [pivots[bit] for bit in sorted(pivots, reverse=True)]
 
 
-@dataclass(frozen=True)
-class BinaryCode:
-    """A binary linear code given by its reduced row echelon basis masks."""
-
-    length: int
-    basis: tuple[int, ...]
-
-    @classmethod
-    def from_masks(cls, length: int, masks) -> "BinaryCode":
-        """The span of ``masks``; each basis row's pivot is its lowest bit."""
-        if isinstance(masks, np.ndarray):
-            masks = _echelon(masks, length)
-        pivots, rest = _f2_rref(masks, range(length))
-        if any(rest):
-            raise AssertionError("RREF left nonzero rows outside pivots")
-        return cls(length, tuple(sorted((v for v, _ in pivots), reverse=True)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.dim
-
-    def words(self, max_words: int = DEFAULT_MAX_WORDS) -> np.ndarray:
-        basis = [Word(self.length, 0, m, 0, 0) for m in self.basis]
-        return _enumerate(self.length, basis, self.size, max_words)
+def _f2_rank(masks, length: int) -> int:
+    """GF(2) rank of ``masks`` on their low ``length`` bits: the pivot
+    count of ``_echelon`` for a numpy array, of ``_f2_rref`` otherwise."""
+    if isinstance(masks, np.ndarray):
+        return len(_echelon(masks, length))
+    return len(_f2_rref(masks, range(length))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +704,11 @@ class AdditiveCode:
     def size(self) -> int:
         return self.basis.size
 
+    @property
+    def dim(self) -> int:
+        """log2 of the size; a binary code's dimension."""
+        return self.basis.gamma + 2 * self.basis.delta
+
     def basis_words(self) -> tuple[Word, ...]:
         return self.basis.words4 + self.basis.words2
 
@@ -764,9 +752,9 @@ class AdditiveCode:
         gb = self.basis
         a = self.alpha
         xrows = [w.u for w in gb.words2]
-        kappa = BinaryCode.from_masks(a, xrows).dim
-        kappa1 = gb.gamma - BinaryCode.from_masks(self.beta, [w.hi for w in gb.words2]).dim
-        delta1 = BinaryCode.from_masks(a, xrows + [w.u for w in gb.words4]).dim - kappa
+        kappa = _f2_rank(xrows, a)
+        kappa1 = gb.gamma - _f2_rank([w.hi for w in gb.words2], self.beta)
+        delta1 = _f2_rank(xrows + [w.u for w in gb.words4], a) - kappa
         return CodeType(
             self.alpha,
             self.beta,
@@ -782,8 +770,10 @@ class AdditiveCode:
     def is_cyclic(self) -> bool:
         return all(self.contains(w.shift()) for w in self.basis_words())
 
-    def project_x(self) -> BinaryCode:
-        return BinaryCode.from_masks(self.alpha, (w.u for w in self.basis_words()))
+    def project_x(self) -> "AdditiveCode":
+        if self.alpha == 0:
+            raise ValueError("no binary block to project onto")
+        return binary_code(self.alpha, [w.u for w in self.basis_words()])
 
     def project_y(self) -> "AdditiveCode":
         if self.beta == 0:
@@ -803,9 +793,24 @@ class AdditiveCode:
         return AdditiveCode(self.alpha, self.beta, gens, max_words=self.max_words)
 
 
-def product_code(cx: BinaryCode, cy: AdditiveCode) -> AdditiveCode:
-    alpha, beta = cx.length, cy.beta
-    gens = [Word(alpha, beta, m, 0, 0) for m in cx.basis] + [
+def binary_code(length: int, masks) -> AdditiveCode:
+    """The binary linear code ``masks`` span: alpha = ``length``, beta = 0.
+
+    A numpy array is first reduced to its ``_echelon`` pivots.  A mask
+    wider than ``length`` is refused, as is ``length`` 0.
+    """
+    if isinstance(masks, np.ndarray):
+        if masks.size and int(masks.max()) >> length:
+            raise ValueError(f"a mask is wider than {length} bits")
+        masks = _echelon(masks, length)
+    return AdditiveCode(length, 0, [Word(length, 0, m, 0, 0) for m in masks])
+
+
+def product_code(cx: AdditiveCode, cy: AdditiveCode) -> AdditiveCode:
+    """The code of the pairs (x | y) with x in the binary code ``cx`` and y
+    in the quaternary block of ``cy``."""
+    alpha, beta = cx.alpha, cy.beta
+    gens = [Word(alpha, beta, w.u, 0, 0) for w in cx.basis_words()] + [
         Word(alpha, beta, 0, w.lo, w.hi) for w in cy.basis_words()
     ]
     return AdditiveCode(alpha, beta, gens, max_words=cy.max_words)
@@ -831,11 +836,11 @@ def type_by_counting(code: AdditiveCode) -> CodeType:
     delta = gamma_2delta - gamma_delta
     gamma = gamma_delta - delta
     u = arr & ((1 << code.alpha) - 1)
-    kappa = BinaryCode.from_masks(code.alpha, u[ord2]).dim
+    kappa = _f2_rank(u[ord2], code.alpha)
     kappa1 = n_xonly.bit_length() - 1
     if 1 << kappa1 != n_xonly:
         raise AssertionError("binary-only word count is not a power of two")
-    delta1 = BinaryCode.from_masks(code.alpha, u).dim - kappa
+    delta1 = _f2_rank(u, code.alpha) - kappa
     return CodeType(
         code.alpha, code.beta, gamma, delta, kappa,
         kappa1=kappa1, kappa2=kappa - kappa1,
@@ -871,18 +876,18 @@ def kernel_bruteforce(code: AdditiveCode) -> AdditiveCode:
     return AdditiveCode.from_words(alpha, beta, kept, max_words=code.max_words)
 
 
-def span_bruteforce(code: AdditiveCode) -> BinaryCode:
-    """Linear span of the Gray image; its ``dim`` is the rank.
+def span_bruteforce(code: AdditiveCode) -> AdditiveCode:
+    """Linear span of the Gray image, a binary code; its ``dim`` is the rank.
 
     The rank needs no enumeration of the span itself, only of the code;
     ``gray_preimage`` lifts the span back from its basis when wanted.
     """
     masks = gray_array(code.words(), code.alpha, code.beta)
-    return BinaryCode.from_masks(code.alpha + 2 * code.beta, masks)
+    return binary_code(code.alpha + 2 * code.beta, masks)
 
 
 def gray_preimage(
-    span: BinaryCode, alpha: int, beta: int, max_words: int = DEFAULT_MAX_WORDS
+    span: AdditiveCode, alpha: int, beta: int, max_words: int = DEFAULT_MAX_WORDS
 ) -> AdditiveCode:
     """The words of Z2^alpha x Z4^beta whose Gray images lie in ``span``.
 
@@ -892,13 +897,15 @@ def gray_preimage(
     2(x_i * x_j)>.  A closed P holds each 2(x_i * x_j), the preimage of
     b_i + b_j less x_i and x_j, so P is closed iff |G| = |span|, and then
     P = G; otherwise this raises ``ValueError``, as it does for a span
-    whose length is not alpha + 2 beta.  The lift lists no word, so
-    ``max_words`` only becomes the lifted code's budget.
+    with a quaternary block or whose length is not alpha + 2 beta.  The
+    lift lists no word, so ``max_words`` only becomes the lifted code's budget.
     """
-    if span.length != alpha + 2 * beta:
-        raise ValueError(f"a span of length {span.length} does not lie in the "
+    if span.beta:
+        raise ValueError("a span is a binary code, with no quaternary block")
+    if span.alpha != alpha + 2 * beta:
+        raise ValueError(f"a span of length {span.alpha} does not lie in the "
                          f"{alpha + 2 * beta}-bit ambient")
-    xs = [ungray(m, alpha, beta) for m in span.basis]
+    xs = [ungray(w.u, alpha, beta) for w in span.basis_words()]
     products = {star2(v, w) for i, v in enumerate(xs) for w in xs[i + 1:] if v.lo & w.lo}
     lifted = AdditiveCode(alpha, beta, xs + list(products), max_words=max_words)
     if lifted.size != span.size:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby, product
 
-from .code import DEFAULT_MAX_WORDS, AdditiveCode, CodeType, Word, _coords_to_word
+from .code import DEFAULT_MAX_WORDS, AdditiveCode, CodeType, Word
 from .errors import SizeGuardError, SpecError
 from .gf2 import (
     BIN_ONE,
@@ -222,10 +222,9 @@ def poly_word(alpha: int, beta: int, x: BinPoly, y: QuatPoly) -> Word:
     """The word (x | y), with x read mod x^alpha - 1 and y mod x^beta - 1."""
     xbits = (x % xn_minus_1(alpha)).bits if alpha else 0
     ys = (y % xn_minus_1_z4(beta)).coeffs
-    return _coords_to_word(
-        alpha, beta,
-        [(xbits >> i) & 1 for i in range(alpha)] + [*ys, *(0,) * (beta - len(ys))],
-    )
+    lo = sum(1 << i for i, c in enumerate(ys) if c & 1)
+    hi = sum(1 << i for i, c in enumerate(ys) if c & 2)
+    return Word(alpha, beta, xbits, lo, hi)
 
 
 def shift_orbit(w: Word, n: int) -> list[Word]:

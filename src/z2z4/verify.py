@@ -36,12 +36,12 @@ import numpy as np
 from .code import (
     DEFAULT_MAX_WORDS,
     AdditiveCode,
-    BinaryCode,
     Word,
     _add_packed,
     _isin_sorted,
     _type_text,
     _word_dtype,
+    binary_code,
     gray_array,
     gray_preimage,
     is_gray_linear_bruteforce,
@@ -90,34 +90,12 @@ class CheckReport:
     rank_result: RankResult
 
     @property
-    def kernel_dim(self) -> int:
-        return self.kernel_result.dimension
-
-    @property
-    def rank(self) -> int:
-        return self.rank_result.rank
-
-    @property
-    def k_prime(self) -> QuatPoly:
-        return self.kernel_result.k_prime
-
-    @property
-    def r(self) -> QuatPoly:
-        return self.rank_result.r
-
-    @property
     def passed(self) -> bool:
         return all(ok for _, ok in self.checks)
 
     @property
     def failures(self) -> tuple[str, ...]:
         return tuple(name for name, ok in self.checks if not ok)
-
-
-def _log2(n: int) -> int:
-    if n <= 0 or n & (n - 1):
-        raise AssertionError(f"{n} is not a power of two")
-    return n.bit_length() - 1
 
 
 def _first_difference(a: AdditiveCode, b: AdditiveCode) -> str:
@@ -185,7 +163,7 @@ class _SpecObjects:
     def build(self, spec: CyclicSpec) -> AdditiveCode:
         return materialize(spec, max_words=self.max_words)
 
-    def lift(self, span: BinaryCode, alpha: int) -> AdditiveCode:
+    def lift(self, span: AdditiveCode, alpha: int) -> AdditiveCode:
         return gray_preimage(span, alpha, self.spec.beta, self.max_words)
 
     t = cached_property(lambda o: type_from_degrees(o.spec))
@@ -194,7 +172,7 @@ class _SpecObjects:
     kres = cached_property(lambda o: kernel_spec(o.spec))
     kcode = cached_property(lambda o: o.build(o.kres.spec))
     koracle = cached_property(lambda o: kernel_bruteforce(o.code))
-    kdim = cached_property(lambda o: _log2(o.koracle.size))
+    kdim = cached_property(lambda o: o.koracle.dim)
     subcodes = cached_property(lambda o: [o.build(s) for s in maximal_linear_subcodes(o.spec)])
     sres = cached_property(lambda o: span_bruteforce(o.code))
     rres = cached_property(lambda o: rank_spec(o.spec))
@@ -206,13 +184,13 @@ class _SpecObjects:
     yres = cached_property(lambda o: span_bruteforce(o.cy))
     cpy = cached_property(lambda o: AdditiveCode(
         o.spec.alpha, o.spec.beta, o.sf.c_prime_words(), max_words=o.max_words).project_y())
-    kcpy = cached_property(lambda o: _log2(kernel_bruteforce(o.cpy).size))
+    kcpy = cached_property(lambda o: kernel_bruteforce(o.cpy).dim)
     rcpy = cached_property(lambda o: span_bruteforce(o.cpy).dim)
 
-    def expected_x(self) -> BinaryCode:
+    def expected_x(self) -> AdditiveCode:
         a = self.spec.alpha
         d = gcd2(self.spec.b, self.spec.ell) % xn_minus_1(a)
-        return BinaryCode.from_masks(a, (rotate_mask(d.bits, i, a) for i in range(a)))
+        return binary_code(a, [rotate_mask(d.bits, i, a) for i in range(a)])
 
     def expected_y(self) -> AdditiveCode:
         s = self.spec
@@ -266,7 +244,7 @@ _CHECKS = (
     ("y-projection-size",
      lambda o: o.cy.size == (1 << (o.t.gamma - o.t.kappa1)) << (2 * o.t.delta), None),
     ("kernel-projection", lambda o: o.koracle.project_y().is_subcode_of(o.ky), None),
-    ("kernel-upper-bound", lambda o: o.kdim <= o.t.kappa1 + _log2(o.ky.size), None),
+    ("kernel-upper-bound", lambda o: o.kdim <= o.t.kappa1 + o.ky.dim, None),
     ("kernel-decomposition", lambda o: o.kdim == o.t.kappa1 + o.t.kappa2 + o.kcpy,
      lambda o: f"dim {o.kdim} != {o.t.kappa1} + {o.t.kappa2} + {o.kcpy}"),
     # rank
@@ -288,7 +266,7 @@ _CHECKS = (
     ("three-generators", lambda o: o.three_generator_code() == o.code, None),
     # separable codes only; ``cross_check`` drops these three rows otherwise
     ("separable-product", lambda o: o.code == product_code(o.px, o.cy), None),
-    ("separable-kernel", lambda o: o.kdim == o.px.dim + _log2(o.ky.size), None),
+    ("separable-kernel", lambda o: o.kdim == o.px.dim + o.ky.dim, None),
     ("separable-rank", lambda o: o.sres.dim == o.px.dim + o.yres.dim, None),
 )
 
@@ -448,8 +426,9 @@ def sweep_rows_json(summary: SweepSummary) -> list[dict]:
         elif row.error is not None:
             d.update(verdict="error", error=row.error)
         else:
-            d.update(kernel_dim=rep.kernel_dim, rank=rep.rank,
-                     k_prime=str(rep.k_prime), r=str(rep.r))
+            kres, rres = rep.kernel_result, rep.rank_result
+            d.update(kernel_dim=kres.dimension, rank=rres.rank,
+                     k_prime=str(kres.k_prime), r=str(rres.r))
             if summary.checked:
                 d["verdict"] = _verdict(rep.passed)
             if not rep.passed:
@@ -584,7 +563,7 @@ def _fx_kernel_sweep() -> tuple[bool, list[str]]:
     _require(all(rep.passed for _, rep in checked), "cross-checks failed")
     kappas = sorted({type_from_degrees(s).kappa for s, _ in checked})
     _require(kappas == [1, 2], f"kappa values attained: {kappas}")
-    dims = {rep.kernel_dim for _, rep in checked}
+    dims = {rep.kernel_result.dimension for _, rep in checked}
     _require(dims == {5}, f"kernel dimensions attained: {dims}")
     t = type_from_degrees(checked[0][0])
     cands = kernel_dim_candidates(t)
@@ -627,17 +606,18 @@ def _fx_maximal_subcodes() -> tuple[bool, list[str]]:
 
 def _fx_rank_sweep() -> tuple[bool, list[str]]:
     checked = _filtered_2_7()
-    ranks = {rep.rank for _, rep in checked}
+    ranks = {rep.rank_result.rank for _, rep in checked}
     _require(ranks == {11}, f"ranks attained: {ranks}")
     t = type_from_degrees(checked[0][0])
     cands = rank_candidates(t)
     _require(cands == (8, 9, 10, 11), f"candidate ranks {cands}")
     for s, rep in checked:
-        _require({rep.r, s.g} == {P3, Q3},
-                 f"r = {rep.r} and g = {s.g} should split the degree-3 factors")
-        _require(rep.r.divides(s.f), f"r = {rep.r} does not divide f = {s.f}")
+        r = rep.rank_result.r
+        _require({r, s.g} == {P3, Q3},
+                 f"r = {r} and g = {s.g} should split the degree-3 factors")
+        _require(r.divides(s.f), f"r = {r} does not divide f = {s.f}")
         if s.g == P3:
-            _require(rep.r == Q3, f"with g fixed to ({P3}), r must be ({Q3})")
+            _require(r == Q3, f"with g fixed to ({P3}), r must be ({Q3})")
         _require(rep.rank_result.spec.b == s.b, "the binary divisor should survive here")
     return False, [
         f"{len(checked)} specs of type (2, 7; 2, 3; *), rank 11 throughout",

@@ -109,7 +109,7 @@ def test_kernel_sweep_of_type_two_three(type_2_3_rows):
         assert all(rep.passed for _, rep in rows)
         kappas = {type_from_degrees(spec).kappa for spec, _ in rows}
         assert kappas == {1, 2}
-        assert {rep.kernel_dim for _, rep in rows} == {5}
+        assert {rep.kernel_result.dimension for _, rep in rows} == {5}
         for spec, _ in rows:
             cands = kernel_dim_candidates(type_from_degrees(spec))
             assert cands == (5, 6, 8)
@@ -120,13 +120,14 @@ def test_rank_sweep_of_type_two_three(type_2_3_rows):
     with acceptance("05", "type (2, 3) sweep at length (2, 7): rank 11 "
                           "everywhere, 8 through 10 never (< 30 s)"):
         rows, elapsed = type_2_3_rows
-        assert {rep.rank for _, rep in rows} == {11}
+        assert {rep.rank_result.rank for _, rep in rows} == {11}
         for spec, rep in rows:
+            r = rep.rank_result.r
             assert rank_candidates(type_from_degrees(spec)) == (8, 9, 10, 11)
-            assert {rep.r, spec.g} == {P3, Q3}
-            assert rep.r.divides(spec.f)
+            assert {r, spec.g} == {P3, Q3}
+            assert r.divides(spec.f)
             if spec.g == P3:
-                assert rep.r == Q3
+                assert r == Q3
         assert elapsed < 30.0
 
 

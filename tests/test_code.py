@@ -16,17 +16,18 @@ from hypothesis import example, given, settings, strategies as st
 from z2z4 import code as code_module
 from z2z4.code import (
     AdditiveCode,
-    BinaryCode,
     CodeType,
     Word,
     _BLOCK_WORDS,
     _add_packed,
     _f2,
+    _f2_rank,
     _f2_rref,
     _isin_sorted,
     _sorted_unique,
     _star2_packed,
     _word,
+    binary_code,
     gray_array,
     gray_preimage,
     group_basis,
@@ -331,7 +332,7 @@ def test_ambient_guard():
     arr = code.words()
     assert arr.dtype == object and arr.tolist() == sorted((w * c).packed for c in range(4))
     assert AdditiveCode.from_words(40, 20, arr) == code
-    assert BinaryCode(80, (1 << 79,)).words().tolist() == [0, 1 << 79]
+    assert binary_code(80, [1 << 79]).words().tolist() == [0, 1 << 79]
     span = span_bruteforce(code)
     assert span.dim == 2 and gray_preimage(span, 40, 20) == code
     with pytest.raises(SizeGuardError) as e:
@@ -490,18 +491,19 @@ def test_packed_arrays_take_the_ambient_dtype(code):
     lifted = gray_preimage(span, a, b)
     vs = [Word.from_packed(p, a, b) for p in words]
     basis = code.basis_words()
+    span_words = _xor_span(w.u for w in span.basis_words())
     got_want = (
         (code.words(), words),
         (rebuilt.words(), words),
         (kernel.words(), [v.packed for v in vs
                           if all(code.contains(star2(v, w)) for w in basis)]),
-        (span.words(), _xor_span(span.basis)),
-        (lifted.words(), sorted(ungray(m, a, b).packed for m in _xor_span(span.basis))),
+        (span.words(), span_words),
+        (lifted.words(), sorted(ungray(m, a, b).packed for m in span_words)),
     )
     for got, want in got_want:
         assert got.dtype == dtype
         assert got.tolist() == want
-    assert span == BinaryCode.from_masks(a + 2 * b, [v.gray for v in vs])
+    assert span == binary_code(a + 2 * b, [v.gray for v in vs])
 
 
 @given(u64_lists, u64_lists)
@@ -570,10 +572,11 @@ def test_howell_rows_canonical():
 
 
 def test_binary_code_rrefs():
-    c = BinaryCode.from_masks(4, [0b0011, 0b0110, 0b0101])
+    c = binary_code(4, [0b0011, 0b0110, 0b0101])
+    assert (c.alpha, c.beta) == (4, 0)
     assert c.dim == 2
     assert c.size == 4
-    d = BinaryCode.from_masks(4, [0b0110, 0b0011])
+    d = binary_code(4, [0b0110, 0b0011])
     assert c == d
     assert list(d.words()) == sorted(
         {0, 0b0011, 0b0110, 0b0101}
@@ -589,9 +592,22 @@ def test_f2_rref_on_a_partial_pivot_set(vectors, perm, k):
     for v, p in pivots:
         assert all((v >> q) & 1 == (q == p) for _, q in pivots)
     assert all((v >> c) & 1 == 0 for v in rest for c in cols)
-    span = BinaryCode.from_masks(12, [v for v, _ in pivots] + rest)
-    assert span.dim == BinaryCode.from_masks(12, vectors).dim
-    assert span == BinaryCode.from_masks(12, vectors)
+    span = binary_code(12, [v for v, _ in pivots] + rest)
+    assert span.dim == binary_code(12, vectors).dim
+    assert span == binary_code(12, vectors)
+
+
+def _assert_ranks_agree(masks: np.ndarray, length: int) -> None:
+    """``_f2_rank`` of the masks as an array of every dtype that holds
+    ``length`` bits and as a list of ints is ``binary_code``'s dimension,
+    and 0 over no bits."""
+    ints = [int(m) for m in masks]
+    dim = binary_code(length, masks).dim
+    for dtype in (np.uint32, np.uint64, object):
+        if dtype is object or length <= np.iinfo(dtype).bits:
+            arr = np.array(ints, dtype=dtype)
+            assert _f2_rank(arr, length) == _f2_rank(ints, length) == dim
+            assert _f2_rank(arr, 0) == _f2_rank(ints, 0) == 0
 
 
 def test_echelon_fast_path_matches_scalar_loop():
@@ -600,9 +616,8 @@ def test_echelon_fast_path_matches_scalar_loop():
         for _ in range(50):
             length = int(rng.integers(1, max_length))
             masks = rng.integers(0, 1 << length, size=64, dtype=dtype)
-            assert BinaryCode.from_masks(length, masks) == BinaryCode.from_masks(
-                length, (int(m) for m in masks)
-            )
+            assert binary_code(length, masks) == binary_code(length, [int(m) for m in masks])
+            _assert_ranks_agree(masks, length)
 
 
 @pytest.mark.parametrize("new_mask", [(1 << 15) | 1, 1, (1 << 14) | 1])
@@ -615,17 +630,19 @@ def test_echelon_pivot_found_only_in_the_last_block(new_mask):
         rng = np.random.default_rng(12)
         masks = rng.integers(0, 1 << 14, size=_BLOCK_WORDS + 1, dtype=dtype) << 1
         masks[-1] = new_mask
-        code = BinaryCode.from_masks(16, masks)
-        assert code.dim == BinaryCode.from_masks(16, masks[:-1]).dim + 1 == 15
-        assert code == BinaryCode.from_masks(16, [int(m) for m in masks])
+        code = binary_code(16, masks)
+        assert code.dim == binary_code(16, masks[:-1]).dim + 1 == 15
+        assert code == binary_code(16, [int(m) for m in masks])
+        _assert_ranks_agree(masks, 16)
 
 
 def test_echelon_full_rank_in_the_first_block():
     rng = np.random.default_rng(13)
     masks = rng.integers(0, 1 << 20, size=_BLOCK_WORDS + 7, dtype=np.uint64)
-    code = BinaryCode.from_masks(20, masks)
-    assert code.dim == BinaryCode.from_masks(20, masks[:_BLOCK_WORDS]).dim == 20
-    assert code == BinaryCode.from_masks(20, [int(m) for m in masks])
+    code = binary_code(20, masks)
+    assert code.dim == binary_code(20, masks[:_BLOCK_WORDS]).dim == 20
+    assert code == binary_code(20, [int(m) for m in masks])
+    _assert_ranks_agree(masks, 20)
 
 
 def _below(rng, b: int) -> int:
@@ -674,11 +691,12 @@ def test_echelon_table_path_matches_scalar_loop(monkeypatch, dtype, length, rank
     masks = np.zeros(n, dtype=dtype)
     for row, picked in zip(rows, coeffs.T):
         masks[picked] ^= row
-    code = BinaryCode.from_masks(length, masks)
+    code = binary_code(length, masks)
     assert code.dim == len(taken) == rank
     if late is not None:
-        assert BinaryCode.from_masks(length, masks[:2 * block]).dim == rank - 1
-    assert code == BinaryCode.from_masks(length, (int(m) for m in masks))
+        assert binary_code(length, masks[:2 * block]).dim == rank - 1
+    assert code == binary_code(length, [int(m) for m in masks])
+    _assert_ranks_agree(masks, length)
 
 
 def _kernel_by_definition(code: AdditiveCode) -> list[int]:
@@ -790,10 +808,13 @@ def test_gray_preimage_refuses_a_span_of_another_length():
     # a 9-bit span is not in the 7-bit ambient (1, 3); read as one, it
     # lifted to {0, (1|000)}
     with pytest.raises(ValueError, match="length 9 does not lie in the 7-bit ambient"):
-        gray_preimage(BinaryCode.from_masks(9, [1 | 1 << 8]), 1, 3)
+        gray_preimage(binary_code(9, [1 | 1 << 8]), 1, 3)
+    # a (5, 1) code has 7-bit Gray images too, but it is no binary code
+    with pytest.raises(ValueError, match="no quaternary block"):
+        gray_preimage(AdditiveCode(5, 1, [Word(5, 1, 1, 1, 0)]), 1, 3)
 
 
-def _enumerated_preimage(span: BinaryCode, alpha: int, beta: int) -> AdditiveCode:
+def _enumerated_preimage(span: AdditiveCode, alpha: int, beta: int) -> AdditiveCode:
     """The lift by enumeration: every span word, un-Grayed, regrown as a code."""
     return AdditiveCode.from_words(alpha, beta, _ungray_array(span.words(), alpha, beta))
 
@@ -818,7 +839,7 @@ def binary_spans(draw):
     alpha = draw(st.integers(0 if beta else 1, 2))
     n = alpha + 2 * beta
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
-    return BinaryCode.from_masks(n, masks), alpha, beta
+    return binary_code(n, masks), alpha, beta
 
 
 def _lift_or_error(lift, span, alpha, beta):
@@ -830,7 +851,7 @@ def _lift_or_error(lift, span, alpha, beta):
 
 @settings(max_examples=300, deadline=None)
 @given(binary_spans())
-@example((BinaryCode.from_masks(2, [0b10]), 0, 1))  # the preimage {0, 1} of Z4 misses 1 + 1
+@example((binary_code(2, [0b10]), 0, 1))  # the preimage {0, 1} of Z4 misses 1 + 1
 def test_gray_preimage_lifts_a_random_span_as_enumeration_does(case):
     # either both routes find the preimage not additively closed, or both
     # return the same code
@@ -847,11 +868,12 @@ def test_gray_preimage_lifts_a_random_span_as_enumeration_does(case):
 def test_gray_preimage_holds_for_any_basis_of_the_span():
     # five words of H = <(110), (011)> with independent Gray images: they
     # generate only H, 16 words, but span the Gray image of
-    # R(H) = <H, 2((110) * (011))>, 32 words; the doubled products fill the gap
+    # R(H) = <H, 2((110) * (011))>, 32 words; the doubled products fill the
+    # gap.  The span's own basis is canonical, not the five images
     ws = [Word.parse(t) for t in ("|110", "|011", "|301", "|121", "|103")]
     h = AdditiveCode(0, 3, ws)
-    span = BinaryCode(6, tuple(w.gray for w in ws))
-    assert h.size == 16 and BinaryCode.from_masks(6, span.basis).dim == 5
+    span = binary_code(6, [w.gray for w in ws])
+    assert h.size == 16 and span.dim == 5
     lifted = gray_preimage(span, 0, 3)
     assert lifted == gray_preimage(span_bruteforce(h), 0, 3)
     assert lifted == AdditiveCode(0, 3, ws + [Word.parse("|020")]) and lifted.size == 32
@@ -875,6 +897,11 @@ def test_type_by_counting_matches_structure():
     binary_only = AdditiveCode(3, 1, [Word.parse("110|0"), Word.parse("011|0")])
     t = type_by_counting(binary_only)
     assert (t.gamma, t.delta, t.kappa) == (2, 0, 2)
+    # no binary block: every rank is over 0 bits
+    quaternary = AdditiveCode(0, 3, [Word.parse("|110"), Word.parse("|020")])
+    t = quaternary.code_type()
+    assert (t.gamma, t.delta, t.kappa, t.delta1) == (1, 1, 0, 0)
+    assert type_by_counting(quaternary) == t
 
 
 def test_type_by_counting_matches_structure_over_several_blocks():
@@ -949,13 +976,27 @@ def test_standard_form_shape(code):
 
 
 def test_product_code_is_separable():
-    cx = BinaryCode.from_masks(2, [0b11])
+    cx = binary_code(2, [0b11])
     cy = AdditiveCode(0, 3, [Word.parse("|110"), Word.parse("|011")])
     code = product_code(cx, cy)
     assert code.is_separable()
     assert code.project_x() == cx
     assert code.project_y() == cy
     assert code.size == cx.size * cy.size
+
+
+def test_projections_refuse_a_missing_block():
+    with pytest.raises(ValueError, match="no quaternary block"):
+        binary_code(2, [0b11]).project_y()
+    with pytest.raises(ValueError, match="no binary block"):
+        AdditiveCode(0, 3, [Word.parse("|110")]).project_x()
+    # a binary code lives in a nonempty ambient and holds its masks whole
+    with pytest.raises(ValueError, match="with alpha"):
+        binary_code(0, [])
+    with pytest.raises(ValueError, match="binary block"):
+        binary_code(2, [0b100])
+    with pytest.raises(ValueError, match="wider than 2 bits"):
+        binary_code(2, np.array([0b100], dtype=np.uint32))
 
 
 def test_separability_detects_mixing():

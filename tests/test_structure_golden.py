@@ -2,9 +2,10 @@
 
 For every valid cyclic spec at (alpha, beta), in enumeration order, the
 digest covers the group basis rows and pivots, the standard form blocks
-with their column orders, ``code_type()``, the basis of ``project_x()``,
-the Howell rows, the ``contains`` verdicts on fixed probe words and,
-for codes of at most ``COUNTING_LIMIT`` words, ``type_by_counting``.
+with their column orders, ``code_type()``, the basis masks of
+``project_x()`` in descending order (none at alpha = 0), the Howell
+rows, the ``contains`` verdicts on fixed probe words and, for codes of
+at most ``COUNTING_LIMIT`` words, ``type_by_counting``.
 One more digest covers the same outputs for the five-row non-cyclic
 code, the ``random`` digest for a fixed, seeded list of ``RANDOM_CODES``
 non-cyclic codes with 1 <= alpha, beta <= 6, and the ``pure`` digest for
@@ -50,6 +51,12 @@ def _probes(code: AdditiveCode) -> list[Word]:
     ]
 
 
+def _x_basis(code: AdditiveCode) -> tuple[int, ...]:
+    if code.alpha == 0:
+        return ()
+    return tuple(sorted((w.u for w in code.project_x().basis_words()), reverse=True))
+
+
 def _structure(code: AdditiveCode) -> tuple:
     gb = code.basis
     sf = standard_form(code)
@@ -58,7 +65,7 @@ def _structure(code: AdditiveCode) -> tuple:
         gb.rows4, gb.pivots4, gb.rows2, gb.pivots2,
         sf.kappa1_rows, sf.kappa2_rows, sf.even_rows, sf.quaternary_rows,
         sf.x_order, sf.y_order,
-        repr(code.code_type()), code.project_x().basis, repr(counted),
+        repr(code.code_type()), _x_basis(code), repr(counted),
         howell_rows(code.alpha, code.beta, code.generators), tuple(code.contains(w) for w in _probes(code)),
     )
 

@@ -88,10 +88,10 @@ def test_cross_check_mixed_example():
     report = cross_check(_mixed_3())
     assert report.passed
     assert report.witness is None
-    assert report.kernel_dim == 3
-    assert report.rank == 6
-    assert report.k_prime == QuatPoly((1, 1, 1))
-    assert report.r == Q_ONE
+    assert report.kernel_result.dimension == 3
+    assert report.rank_result.rank == 6
+    assert report.kernel_result.k_prime == QuatPoly((1, 1, 1))
+    assert report.rank_result.r == Q_ONE
 
 
 def test_first_difference_names_the_smallest_word_of_the_symmetric_difference():
@@ -338,7 +338,7 @@ def test_cross_check_at_71_bits():
     for spec in faulty:
         report = cross_check(spec)
         assert report.failures == ("kernel-set", "kernel-dim", "kernel-intersection")
-        assert report.kernel_dim == 12
+        assert report.kernel_result.dimension == 12
 
 
 def test_sweep_verdicts_digest():

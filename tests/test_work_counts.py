@@ -10,11 +10,12 @@ that only reshapes the code leaves every count where it was.
 Each function is counted by rebinding every ``z2z4`` module name bound
 to it, as ``bench/tracing.py`` does, so a call between modules is
 counted under the name the library looks it up by.  ``from_words`` is a
-classmethod and is counted on the class, and so is
-``CyclicSpec.__post_init__``: every spec the sweep builds, enumerated or
-derived, runs its checks once, and a change that let a spec skip them
-would move that count.  No layer counted here sits under a cache, so the
-counts do not depend on what ran before.
+classmethod and is counted on the class, and so are the methods
+``project_x`` and ``project_y``, so a projection built twice moves a
+count, and ``CyclicSpec.__post_init__``: every spec the sweep builds,
+enumerated or derived, runs its checks once, and a change that let a
+spec skip them would move that count.  No layer counted here sits under
+a cache, so the counts do not depend on what ran before.
 """
 
 import functools
@@ -70,6 +71,9 @@ def test_sweep_work_counts(monkeypatch):
     from_words = AdditiveCode.__dict__["from_words"].__func__
     monkeypatch.setattr(AdditiveCode, "from_words", classmethod(
         _counting(from_words, "AdditiveCode.from_words", counts)))
+    for name in ("project_x", "project_y"):
+        monkeypatch.setattr(AdditiveCode, name, _counting(
+            getattr(AdditiveCode, name), f"AdditiveCode.{name}", counts))
     monkeypatch.setattr(CyclicSpec, "__post_init__", _counting(
         CyclicSpec.__post_init__, "CyclicSpec.__post_init__", counts))
 

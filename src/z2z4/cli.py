@@ -144,19 +144,19 @@ def cmd_factor(args: argparse.Namespace) -> int:
             "ring": args.ring,
             "modulus": str(whole),
             "factors": [
-                {"coset": list(coset.exps), "poly": str(q)} for coset, q in pairs
+                {"coset": list(coset), "poly": str(q)} for coset, q in pairs
             ],
         }))
     elif args.format == "csv":
         print("coset_leader,coset,poly")
         for coset, q in pairs:
-            orbit = ";".join(str(e) for e in coset.exps)
-            print(f"{coset.leader},{orbit},{q}".replace(" ", ""))
+            orbit = ";".join(str(e) for e in coset)
+            print(f"{coset[0]},{orbit},{q}".replace(" ", ""))
     else:
         product = "".join(f"({q})" for _, q in pairs)
         print(f"x^{n} - 1 = {product}  over {ring}")
         for coset, q in pairs:
-            orbit = "{" + ", ".join(str(e) for e in coset.exps) + "}"
+            orbit = "{" + ", ".join(str(e) for e in coset) + "}"
             print(f"  coset {orbit}: {q}")
     return EXIT_OK
 

@@ -49,10 +49,12 @@ basis word at a time with ``_cosets``.
 ``Word``'s bitplane arithmetic is the only Z4 arithmetic: the group
 basis, Howell form and membership reduce ``Word``s, and coordinate
 tuples appear only at the edges (parsing, display, the ``rows4``/``rows2``
-views, Howell rows and the standard-form blocks).
+views, Howell rows and the standard-form blocks, which become words in
+``StandardFormMatrix.words`` alone).
 ``Word`` is a frozen slotted dataclass, range-checked in ``__post_init__``;
 arithmetic results skip the checks through ``_word``, which fills the
-generated slots directly.
+generated slots directly.  ``Word.from_packed`` and ``ungray`` split an
+int with ``_fields``, which refuses one outside the alpha + 2 beta bits.
 """
 
 from dataclasses import dataclass, field
@@ -105,15 +107,7 @@ class Word:
 
     @classmethod
     def from_packed(cls, packed: int, alpha: int, beta: int) -> "Word":
-        mask_a = (1 << alpha) - 1
-        mask_b = (1 << beta) - 1
-        return cls(
-            alpha,
-            beta,
-            packed & mask_a,
-            (packed >> alpha) & mask_b,
-            (packed >> (alpha + beta)) & mask_b,
-        )
+        return cls(alpha, beta, *_fields(packed, alpha, beta))
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -240,12 +234,19 @@ def star2(v: Word, w: Word) -> Word:
     return _word(v.alpha, v.beta, 0, 0, v.lo & w.lo)
 
 
-def ungray(bits: int, alpha: int, beta: int) -> Word:
+def _fields(value: int, alpha: int, beta: int) -> tuple[int, int, int]:
+    """The alpha-, beta- and beta-bit fields of a packed word or Gray image,
+    low bits first; a value outside [0, 2^(alpha + 2 beta)) is refused."""
+    bits = alpha + 2 * beta
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{value} lies outside the {bits}-bit ambient")
     mask_b = (1 << beta) - 1
-    u = bits & ((1 << alpha) - 1)
-    hi = (bits >> alpha) & mask_b
-    lo = ((bits >> (alpha + beta)) & mask_b) ^ hi
-    return Word(alpha, beta, u, lo, hi)
+    return value & ((1 << alpha) - 1), (value >> alpha) & mask_b, value >> (alpha + beta)
+
+
+def ungray(bits: int, alpha: int, beta: int) -> Word:
+    u, hi, top = _fields(bits, alpha, beta)
+    return Word(alpha, beta, u, top ^ hi, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -782,11 +783,6 @@ class AdditiveCode:
         gens = [Word(0, self.beta, 0, w.lo, w.hi) for w in self.basis_words()]
         return AdditiveCode(0, self.beta, gens, max_words=self.max_words)
 
-    def is_separable(self) -> bool:
-        if self.alpha == 0 or self.beta == 0:
-            return True
-        return self.size == self.project_x().size * self.project_y().size
-
     def order_two_subcode(self) -> "AdditiveCode":
         gb = self.basis
         gens = gb.words2 + tuple(w.double() for w in gb.words4)
@@ -980,8 +976,7 @@ class StandardFormMatrix:
 
     def c_prime_words(self) -> tuple[Word, ...]:
         """Rows generating the subcode that carries the quaternary action."""
-        rows = self.even_rows + self.quaternary_rows
-        return tuple(_coords_to_word(self.alpha, self.beta, r) for r in rows)
+        return self.words()[self.kappa1 + self.kappa2:]
 
 
 def standard_form(code: AdditiveCode) -> StandardFormMatrix:
@@ -1074,6 +1069,5 @@ def _validate_standard_form(sf: StandardFormMatrix, code: AdditiveCode) -> None:
         for j in range(d):
             need(yval(r, plain + ge + j) == (1 if i == j else 0), "quaternary")
 
-    regen = AdditiveCode(alpha, beta, [_coords_to_word(alpha, beta, r) for r in sf.rows()])
-    if regen != code:
+    if AdditiveCode(alpha, beta, sf.words()) != code:
         raise AssertionError("standard form does not regenerate the code")

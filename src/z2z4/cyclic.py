@@ -219,9 +219,10 @@ def type_from_degrees(spec: CyclicSpec) -> CodeType:
 
 
 def poly_word(alpha: int, beta: int, x: BinPoly, y: QuatPoly) -> Word:
-    """The word (x | y), with x read mod x^alpha - 1 and y mod x^beta - 1."""
+    """The word (x | y), with x read mod x^alpha - 1 and y mod x^beta - 1;
+    a block of length 0 is empty, whatever its polynomial."""
     xbits = (x % xn_minus_1(alpha)).bits if alpha else 0
-    ys = (y % xn_minus_1_z4(beta)).coeffs
+    ys = (y % xn_minus_1_z4(beta)).coeffs if beta else ()
     lo = sum(1 << i for i, c in enumerate(ys) if c & 1)
     hi = sum(1 << i for i, c in enumerate(ys) if c & 2)
     return Word(alpha, beta, xbits, lo, hi)
@@ -431,9 +432,7 @@ def maximal_linear_subcodes(spec: CyclicSpec) -> tuple[CyclicSpec, ...]:
 
 def kernel_dim_candidates(t: CodeType) -> tuple[int, ...]:
     """All kernel dimensions achievable for codes of this type."""
-    slack = t.beta - (t.gamma - t.kappa) - t.delta
-    if slack < 0:
-        raise ValueError("inconsistent type parameters")
+    slack = t.beta - (t.gamma - t.kappa) - t.delta  # CodeType refuses a negative slack
     if slack == 0:
         drops = [0]
     elif slack == 1:
@@ -532,7 +531,5 @@ def spec_to_dict(spec: CyclicSpec) -> dict:
         "beta": spec.beta,
         "b": str(spec.b),
         "ell": str(spec.ell),
-        "f": str(spec.f),
-        "h": str(spec.h),
-        "g": str(spec.g),
+        **dict(zip("fhg", _factor_text(spec.h_mask, spec.g_mask, spec.beta))),
     }

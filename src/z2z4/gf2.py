@@ -4,9 +4,10 @@
 checked in ``__post_init__``: bit ``i`` is the coefficient of ``x^i``.
 All arithmetic is exact; nothing here is probabilistic.  The module also
 owns the splitting field machinery used to factor ``x^n - 1`` for odd
-``n``: cyclotomic cosets, a primitive element of GF(2^m) with
-``m = ord_2(n)``, and the per-coset irreducible factors; everything downstream
-reduces to this factorization.  ``divisor_mask`` alone decides which
+``n``: cyclotomic cosets (each a sorted tuple of exponents, its leader
+first), a primitive element of GF(2^m) with ``m = ord_2(n)``, and the
+per-coset irreducible factors; everything downstream reduces to this
+factorization.  ``divisor_mask`` alone decides which
 coset factors divide a divisor of x^n + 1, and ``root_exponents`` and
 ``z4`` read that mask.  ``tensor_square`` takes the sumset of root
 exponents, and ``pairwise_product_span`` reads the span of
@@ -197,19 +198,10 @@ def rotate_mask(mask: int, k: int, n: int) -> int:
     return ((mask << k) | (mask >> (n - k))) & full if k else mask & full
 
 
-@dataclass(frozen=True)
-class Coset:
-    """A cyclotomic coset mod n: the orbit of an exponent under doubling."""
-
-    exps: tuple[int, ...]
-
-    @property
-    def leader(self) -> int:
-        return self.exps[0]
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_cosets(n: int) -> tuple[Coset, ...]:
+def cyclotomic_cosets(n: int) -> tuple[tuple[int, ...], ...]:
+    """The cyclotomic cosets mod n, each the sorted orbit of an exponent
+    under doubling; its first exponent, the smallest, is its leader."""
     if n < 1 or n % 2 == 0:
         raise ValueError("cyclotomic cosets need odd positive n")
     seen: set[int] = set()
@@ -223,7 +215,7 @@ def cyclotomic_cosets(n: int) -> tuple[Coset, ...]:
             seen.add(x)
             orbit.append(x)
             x = (2 * x) % n
-        out.append(Coset(tuple(sorted(orbit))))
+        out.append(tuple(sorted(orbit)))
     return tuple(out)
 
 
@@ -317,7 +309,7 @@ def build_field(n: int) -> FieldContext:
 
 
 @lru_cache(maxsize=None)
-def factor_xn1_gf2(n: int) -> tuple[tuple[Coset, BinPoly], ...]:
+def factor_xn1_gf2(n: int) -> tuple[tuple[tuple[int, ...], BinPoly], ...]:
     """Irreducible factors of x^n + 1 over GF(2), keyed by cyclotomic coset.
 
     Each factor is the product of (x + xi^k) over its coset, computed in
@@ -327,7 +319,7 @@ def factor_xn1_gf2(n: int) -> tuple[tuple[Coset, BinPoly], ...]:
     out = []
     for coset in cyclotomic_cosets(n):
         poly = [1]
-        for k in coset.exps:
+        for k in coset:
             root = ctx.xi_pow[k]
             nxt = [0] * (len(poly) + 1)
             for i, c in enumerate(poly):
@@ -374,7 +366,7 @@ def root_exponents(p: BinPoly, n: int) -> frozenset[int]:
     """Exponent set {k : p(xi^k) = 0} for a divisor p of x^n + 1."""
     mask = divisor_mask(p, n)
     return frozenset(e for i, (coset, _) in enumerate(factor_xn1_gf2(n))
-                     if mask >> i & 1 for e in coset.exps)
+                     if mask >> i & 1 for e in coset)
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +380,7 @@ def tensor_square(p: BinPoly, n: int) -> BinPoly:
     t = {(i + j) % n for i in s for j in s}
     out = BIN_ONE
     for coset, q in factor_xn1_gf2(n):
-        if set(coset.exps) <= t:
+        if t.issuperset(coset):
             out = out * q
     return out
 

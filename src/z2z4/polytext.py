@@ -50,12 +50,11 @@ def parse_terms(text: str, modulus: int) -> dict[int, int]:
 
 
 def format_terms(coeffs: dict[int, int]) -> str:
-    """Render an exponent -> coefficient map, ascending, zero as ``0``."""
+    """Render an exponent -> coefficient map of nonzero coefficients,
+    ascending; the empty map, the zero polynomial, reads ``0``."""
     parts = []
     for e in sorted(coeffs):
         c = coeffs[e]
-        if c == 0:
-            continue
         if e == 0:
             parts.append(str(c))
         else:

@@ -10,6 +10,9 @@ reported as flagged rather than asserted.
 
 The checks are the rows of ``_CHECKS``, in report order; each reads the
 objects of one ``_SpecObjects``, which the paper-suite fixtures share.
+The last three rows are for separable codes only, those with |C| =
+|C_X| |C_Y|; ``cross_check`` reads both sizes off the holder's own
+projections, so each projection is built once per spec.
 ``cross_check`` enumerates the code before the first check, so a code
 over the word budget, the one enumeration guard, raises
 ``SizeGuardError`` (a guarded sweep row); no check enumerates an object
@@ -41,7 +44,6 @@ from .code import (
     _isin_sorted,
     _type_text,
     _word_dtype,
-    binary_code,
     gray_array,
     gray_preimage,
     is_gray_linear_bruteforce,
@@ -74,8 +76,8 @@ from .cyclic import (
     type_from_degrees,
 )
 from .errors import SizeGuardError
-from .gf2 import BIN_ZERO, BinPoly, gcd2, rotate_mask, xn_minus_1
-from .z4 import QuatPoly, hensel_lift, quat_factors, xn_minus_1_z4
+from .gf2 import BIN_ZERO, BinPoly, gcd2
+from .z4 import Q_ZERO, QuatPoly, hensel_lift, quat_factors, xn_minus_1_z4
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,9 @@ class _SpecObjects:
     rcpy = cached_property(lambda o: span_bruteforce(o.cpy).dim)
 
     def expected_x(self) -> AdditiveCode:
-        a = self.spec.alpha
-        d = gcd2(self.spec.b, self.spec.ell) % xn_minus_1(a)
-        return binary_code(a, [rotate_mask(d.bits, i, a) for i in range(a)])
+        s = self.spec
+        gen = poly_word(s.alpha, 0, gcd2(s.b, s.ell), Q_ZERO)
+        return AdditiveCode(s.alpha, 0, shift_orbit(gen, s.alpha))
 
     def expected_y(self) -> AdditiveCode:
         s = self.spec
@@ -281,7 +283,7 @@ def cross_check(spec: CyclicSpec, max_words: int = DEFAULT_MAX_WORDS) -> CheckRe
     """
     o = _SpecObjects(spec, max_words)
     o.code.words()  # the code's own guard; no check enumerates a larger object
-    table = _CHECKS if o.code.is_separable() else _CHECKS[:-3]
+    table = _CHECKS if o.code.size == o.px.size * o.cy.size else _CHECKS[:-3]
     checks: list[tuple[str, bool]] = []
     witness: str | None = None
     for name, test, note in table:

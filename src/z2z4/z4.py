@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SpecError
-from .gf2 import BinPoly, Coset, divisor_mask, ext_gcd2, factor_xn1_gf2, xn_minus_1
+from .gf2 import BinPoly, divisor_mask, ext_gcd2, factor_xn1_gf2, xn_minus_1
 from .polytext import format_terms, parse_terms
 
 
@@ -210,7 +210,7 @@ def hensel_lift(p: BinPoly, n: int) -> QuatPoly:
 
 
 @lru_cache(maxsize=None)
-def factor_xn1_z4(n: int) -> tuple[tuple[Coset, QuatPoly], ...]:
+def factor_xn1_z4(n: int) -> tuple[tuple[tuple[int, ...], QuatPoly], ...]:
     """Basic irreducible factors of x^n - 1 over Z4, keyed by coset."""
     out = tuple((coset, hensel_lift(p, n)) for coset, p in factor_xn1_gf2(n))
     prod = Q_ONE

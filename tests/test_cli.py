@@ -60,6 +60,13 @@ def test_factor_rejects_even_length(capsys):
     assert excinfo.value.code == 2
 
 
+def test_search_rejects_alpha_0(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["search", "--alpha", "0", "--beta", "3"])
+    assert excinfo.value.code == 2
+    assert "0 is not a positive integer" in capsys.readouterr().err
+
+
 def test_factor_guard_exit(capsys):
     rc, _, err = _run(capsys, ["factor", "--n", "37", "--ring", "gf2"])
     assert rc == 3
@@ -127,7 +134,9 @@ def test_analyze_renders_a_failing_report(monkeypatch, capsys):
     ["analyze", *F2_FLAGS, "--f", "2x+1"],
     ["analyze", *F2_FLAGS, "--g", "x^"],
     ["search", "--alpha", "2", "--beta", "7", "--type", "a,b"],
-], ids=["non-unit-leading-coefficient", "unparsed-polynomial", "type-not-integers"])
+    ["search", "--alpha", "2", "--beta", "7", "--type", "1,2,3,4"],
+], ids=["non-unit-leading-coefficient", "unparsed-polynomial", "type-not-integers",
+        "type-of-four-numbers"])
 def test_bad_user_text_exits_2(argv, capsys):
     rc, out, err = _run(capsys, argv)
     assert rc == cli.EXIT_INVALID

@@ -41,10 +41,26 @@ from z2z4.code import (
     type_by_counting,
     ungray,
 )
-from z2z4.cyclic import cardinality, enumerate_cyclic_specs, materialize
+from z2z4.cyclic import (
+    cardinality,
+    cyclic_spec,
+    enumerate_cyclic_specs,
+    linear_subcode_spec,
+    materialize,
+)
 from z2z4.errors import SizeGuardError
-from z2z4.gf2 import DEGREE_GUARD_BITS, BinPoly
-from z2z4.z4 import QuatPoly
+from z2z4.gf2 import (
+    BIN_ONE,
+    BIN_ZERO,
+    DEGREE_GUARD_BITS,
+    DIVISOR_COUNT_LIMIT,
+    BinPoly,
+    cyclotomic_cosets,
+    divisors_of_xn1,
+    xn_minus_1,
+)
+from z2z4.polytext import parse_terms
+from z2z4.z4 import QuatPoly, hensel_lift, xn_minus_1_z4
 
 
 @st.composite
@@ -197,6 +213,39 @@ def test_values_equal_only_their_own_type(w, bits):
     pytest.param(lambda: BinPoly(-1), ValueError, "nonnegative", id="negative-mask"),
     pytest.param(lambda: BinPoly(1 << DEGREE_GUARD_BITS), SizeGuardError, "exceeds guard",
                  id="degree-guard"),
+    pytest.param(lambda: Word.from_packed(1 << 10, 1, 1), ValueError, "outside the 3-bit",
+                 id="wide-packed"),
+    pytest.param(lambda: Word.from_packed(-1, 1, 1), ValueError, "outside the 3-bit",
+                 id="negative-packed"),
+    pytest.param(lambda: ungray(8, 1, 1), ValueError, "outside the 3-bit", id="wide-gray"),
+    pytest.param(lambda: Word.parse("|4"), ValueError, "quaternary block digits",
+                 id="digit-4"),
+    pytest.param(lambda: Word.parse("1|1") + Word.parse("|1"), ValueError, "mismatched ambient",
+                 id="sum-across-ambients"),
+    pytest.param(lambda: AdditiveCode(1, 1, [Word.parse("|1")]), ValueError,
+                 "generator does not live", id="generator-of-another-ambient"),
+    pytest.param(lambda: CodeType(1, 1, -1, 0, 0, 0, 0, 0, 0), ValueError, "nonnegative",
+                 id="negative-type-parameter"),
+    pytest.param(lambda: CodeType(1, 1, 1, 0, 1, 2, -1, 0, 0), ValueError,
+                 "kappa split must be nonnegative", id="negative-kappa-split"),
+    pytest.param(lambda: CodeType(1, 1, 0, 1, 0, 0, 0, 0, 0), ValueError,
+                 r"delta1 \+ delta2 must equal delta", id="delta-split-sum"),
+    pytest.param(lambda: xn_minus_1(0), ValueError, "positive", id="xn-minus-1-at-0"),
+    pytest.param(lambda: xn_minus_1_z4(0), ValueError, "positive", id="xn-minus-1-z4-at-0"),
+    pytest.param(lambda: cyclotomic_cosets(4), ValueError, "odd positive", id="even-cosets"),
+    pytest.param(lambda: divisors_of_xn1(0), ValueError, "positive", id="divisors-at-0"),
+    # (2^20 + 1)^2 divisors, refused before the first is built
+    pytest.param(lambda: divisors_of_xn1(3 << 20), SizeGuardError,
+                 f"above the {DIVISOR_COUNT_LIMIT} guard", id="divisor-count-guard"),
+    pytest.param(lambda: hensel_lift(BIN_ONE, 4), ValueError, "odd positive", id="even-lift"),
+    pytest.param(lambda: hensel_lift(BIN_ZERO, 7), ValueError, "zero polynomial",
+                 id="lift-of-zero"),
+    pytest.param(lambda: parse_terms("x x", 2), ValueError, "missing", id="unsigned-term"),
+    # x + 3 divides x^3 - 1 but sits in h, not g
+    pytest.param(lambda: linear_subcode_spec(
+        cyclic_spec(1, 3, BinPoly.parse("x + 1"), BIN_ONE, QuatPoly.parse("1"),
+                    QuatPoly.parse("x + 3"), QuatPoly.parse("x^2 + x + 1")),
+        QuatPoly.parse("x + 3")), ValueError, "does not divide g", id="subcode-outside-g"),
 ])
 def test_values_check_their_ranges(make, error, text):
     """Raised, not asserted, so the checks hold under ``python -O`` too."""
@@ -447,7 +496,7 @@ def test_from_words_requires_closure():
 
 
 @pytest.mark.parametrize("alpha, beta, packed", [
-    (1, 1, [0, 8]),  # a 4th bit, masked away by Word.from_packed
+    (1, 1, [0, 8]),  # a 4th bit, outside the 3-bit ambient
     (1, 1, [0, 1 << 63]),
     (2, 15, [0, 1 << 32]),  # 0 in uint32
     (2, 15, [0, (1 << 32) | 1]),  # 1, a word, in uint32
@@ -979,7 +1028,6 @@ def test_product_code_is_separable():
     cx = binary_code(2, [0b11])
     cy = AdditiveCode(0, 3, [Word.parse("|110"), Word.parse("|011")])
     code = product_code(cx, cy)
-    assert code.is_separable()
     assert code.project_x() == cx
     assert code.project_y() == cy
     assert code.size == cx.size * cy.size
@@ -1001,7 +1049,6 @@ def test_projections_refuse_a_missing_block():
 
 def test_separability_detects_mixing():
     mixed = AdditiveCode(1, 1, [Word.parse("1|1")])
-    assert not mixed.is_separable()
     assert mixed.project_x().size * mixed.project_y().size > mixed.size
 
 

@@ -340,6 +340,8 @@ def test_poly_word_reduces_both_blocks():
     w = poly_word(3, 3, BinPoly.parse("x^3 + x"), QuatPoly((0, 0, 0, 1, 2)))
     assert str(w) == "110|120"
     assert str(poly_word(0, 3, BIN_ZERO, QuatPoly((3, 3)))) == "|330"
+    # a block of length 0 is empty, whatever its polynomial
+    assert str(poly_word(3, 0, BinPoly.parse("x^4"), QuatPoly((1, 1)))) == "010|"
     assert [str(v) for v in shift_orbit(w, 3)] == ["110|120", "011|012", "101|201"]
 
 

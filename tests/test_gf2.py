@@ -127,17 +127,17 @@ def test_factorization_multiplies_back(n):
 def test_cosets_partition(n):
     seen = []
     for coset in cyclotomic_cosets(n):
-        assert coset.leader == min(coset.exps)
-        for e in coset.exps:
-            assert (2 * e) % n in coset.exps
-        seen.extend(coset.exps)
+        assert coset[0] == min(coset) and coset == tuple(sorted(coset))
+        for e in coset:
+            assert (2 * e) % n in coset
+        seen.extend(coset)
     assert sorted(seen) == list(range(n))
 
 
 def test_factor_degrees_match_cosets():
     for coset, p in factor_xn1_gf2(21):
-        assert p.degree == len(coset.exps)
-        assert root_exponents(p, 21) == frozenset(coset.exps)
+        assert p.degree == len(coset)
+        assert root_exponents(p, 21) == frozenset(coset)
 
 
 def test_field_guard():

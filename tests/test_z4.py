@@ -124,7 +124,7 @@ def test_factorization_multiplies_back(n):
 def test_factor_cosets_match_binary_side():
     pairs = factor_xn1_z4(7)
     assert len(pairs) == 3
-    leaders = sorted(coset.leader for coset, _ in pairs)
+    leaders = sorted(coset[0] for coset, _ in pairs)
     assert leaders == [0, 1, 3]
     lifted = {q for _, q in pairs}
     assert lifted == {QuatPoly((3, 1)), P3, Q3}
